@@ -1,23 +1,22 @@
-//! Data-movement throughput: batched vs per-element execution.
+//! Data-movement throughput of fused copies.
 //!
-//! The schedule is built once outside the timed region; each measurement
-//! times `CommSchedule::execute_with` alone, so the numbers isolate the
-//! data-movement strategy: one message per non-empty (src, dst) pair with
-//! in-place self-transfers ([`ExecMode::Batched`]) against the historical
-//! one-channel-send-per-element baseline ([`ExecMode::PerElement`]).
-//! Sweeps machine size, stride and element size; elements/sec is
-//! `count / median_ns * 1e9` from the report.
+//! Each measurement times one [`assign_array`] copy — the copy epoch of
+//! the statement's cached fused program: one message per non-empty
+//! (src, dst) pair with in-place self-transfers. The program is compiled
+//! by the warmup, so the timed region is the warm path (one cache hit,
+//! one pool dispatch). Sweeps machine size, stride and element size;
+//! elements/sec is `count / median_ns * 1e9` from the report.
 
 use std::hint::black_box;
 
 use bcag_harness::bench::Bench;
 
 use bcag_core::section::RegularSection;
-use bcag_spmd::{CommSchedule, DistArray, ExecMode, PackValue};
+use bcag_spmd::{assign_array, DistArray, PackValue};
 
-/// One measurement pair (both modes) for a `cyclic(8) = cyclic(3)`
-/// redistribution of `count` elements with the given strides.
-fn bench_pair<T: PackValue + Default>(
+/// One measurement for a `cyclic(8) = cyclic(3)` redistribution of
+/// `count` elements with the given strides.
+fn bench_copy<T: PackValue + Default>(
     bench: &mut Bench,
     group: &str,
     label: &str,
@@ -34,22 +33,18 @@ fn bench_pair<T: PackValue + Default>(
     let n_b = sec_b.normalized().hi + 1;
     let bg: Vec<T> = (0..n_b).map(make).collect();
     let b = DistArray::from_global(p, k_b, &bg).unwrap();
-    let sched = CommSchedule::build_lattice(p, k_a, &sec_a, k_b, &sec_b).unwrap();
-    let mut group = bench.group(group);
-    for mode in [ExecMode::Batched, ExecMode::PerElement] {
-        let mut a = DistArray::new(p, k_a, n_a, T::default()).unwrap();
-        group.bench(&format!("{}/{label}", mode.name()), || {
-            sched.execute_with(&mut a, &b, mode).unwrap();
-            black_box(a.local(0).len())
-        });
-    }
+    let mut a = DistArray::new(p, k_a, n_a, T::default()).unwrap();
+    bench.group(group).bench(&format!("batched/{label}"), || {
+        assign_array(&mut a, &sec_a, &b, &sec_b).unwrap();
+        black_box(a.local(0).len())
+    });
 }
 
 fn main() {
     let mut bench = Bench::from_env("comm_throughput");
     for p in [4i64, 32] {
         let group = format!("p{p}");
-        bench_pair::<i64>(
+        bench_copy::<i64>(
             &mut bench,
             &group,
             "i64/dense/n100000",
@@ -59,7 +54,7 @@ fn main() {
             1,
             |i| i,
         );
-        bench_pair::<i64>(
+        bench_copy::<i64>(
             &mut bench,
             &group,
             "i64/strided/n50000",
@@ -69,7 +64,7 @@ fn main() {
             2,
             |i| i,
         );
-        bench_pair::<u8>(
+        bench_copy::<u8>(
             &mut bench,
             &group,
             "u8/dense/n100000",
@@ -79,7 +74,7 @@ fn main() {
             1,
             |i| i as u8,
         );
-        bench_pair::<[f64; 4]>(
+        bench_copy::<[f64; 4]>(
             &mut bench,
             &group,
             "f64x4/dense/n25000",

@@ -5,11 +5,11 @@
 //! allocation — which dominates exactly when statements are small and
 //! numerous (the steady-state inner loop of a data-parallel program).
 //! Each `stmt` measurement times one complete [`assign_expr`] statement
-//! (a gather launch plus a compute launch) on a deliberately tiny
-//! section, pooled vs scoped; statements/sec is `1e9 / median_ns`.
+//! (one fused epoch launch) on a deliberately tiny section, pooled vs
+//! scoped; statements/sec is `1e9 / median_ns`.
 //!
 //! The `xfer` group is the guard in the other direction: a large dense
-//! batched transfer (mirroring `comm_throughput`'s heaviest case) where
+//! fused copy (mirroring `comm_throughput`'s heaviest case) where
 //! launch overhead is noise, pinning that routing through the pool does
 //! not tax bulk data movement.
 
@@ -18,10 +18,11 @@ use std::hint::black_box;
 use bcag_harness::bench::Bench;
 
 use bcag_core::section::RegularSection;
-use bcag_spmd::{assign_expr, pool, CommSchedule, DistArray, ExecMode, LaunchMode};
+use bcag_spmd::fuse::assign_copy_on;
+use bcag_spmd::{assign_expr, pool, transport, DistArray, LaunchMode};
 
 /// One tiny statement `A(0:c-1) = B(1:c) + 1` across two blockings, so
-/// every call pays a communication launch and a compute launch.
+/// every call pays a communicating epoch launch.
 fn bench_statements(bench: &mut Bench, p: i64, k: i64) {
     let c = p * k;
     let n = c + 1;
@@ -47,7 +48,7 @@ fn bench_statements(bench: &mut Bench, p: i64, k: i64) {
 }
 
 /// Large-transfer parity: `cyclic(8) = cyclic(3)` dense redistribution of
-/// 100k i64, batched, where data movement dwarfs launch cost.
+/// 100k i64 as a fused copy, where data movement dwarfs launch cost.
 fn bench_transfer(bench: &mut Bench, p: i64) {
     let count = 100_000i64;
     let (k_a, k_b) = (8i64, 3i64);
@@ -57,7 +58,7 @@ fn bench_transfer(bench: &mut Bench, p: i64) {
     let n_b = sec_b.normalized().hi + 1;
     let bg: Vec<i64> = (0..n_b).collect();
     let b = DistArray::from_global(p, k_b, &bg).unwrap();
-    let sched = CommSchedule::build_lattice(p, k_a, &sec_a, k_b, &sec_b).unwrap();
+    let kind = transport::default_transport();
     let mut group = bench.group(&format!("xfer/p{p}"));
     for launch in [LaunchMode::Pooled, LaunchMode::Scoped] {
         if launch == LaunchMode::Pooled {
@@ -65,9 +66,7 @@ fn bench_transfer(bench: &mut Bench, p: i64) {
         }
         let mut a = DistArray::new(p, k_a, n_a, 0i64).unwrap();
         group.bench(&format!("{}/i64/dense/n100000", launch.name()), || {
-            sched
-                .execute_launched(&mut a, &b, ExecMode::Batched, launch)
-                .unwrap();
+            assign_copy_on(&mut a, &sec_a, &b, &sec_b, launch, kind).unwrap();
             black_box(a.local(0).len())
         });
     }

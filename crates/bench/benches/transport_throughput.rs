@@ -1,8 +1,8 @@
 //! Transport fabric throughput: mpsc vs shm vs proc backends.
 //!
-//! The schedule is built once outside the timed region; each measurement
-//! times `CommSchedule::execute_transport` alone with the batched
-//! strategy on the resident pool, so the numbers isolate the *fabric*:
+//! Each measurement times one fused copy ([`assign_copy_on`]) on the
+//! resident pool of the given fabric; the program is compiled by the
+//! warmup, so the numbers isolate the *fabric*:
 //! the unbounded `std::sync::mpsc` reference, the lock-free SPSC
 //! ring-buffer shared-memory fabric, and the ring fabric carrying the
 //! serialized wire format (the in-process twin of what `bcag spmd`
@@ -15,7 +15,8 @@ use std::hint::black_box;
 use bcag_harness::bench::Bench;
 
 use bcag_core::section::RegularSection;
-use bcag_spmd::{CommSchedule, DistArray, ExecMode, LaunchMode, PackValue, TransportKind};
+use bcag_spmd::fuse::assign_copy_on;
+use bcag_spmd::{DistArray, LaunchMode, PackValue, TransportKind};
 
 /// One measurement triple (all fabrics) for a `cyclic(8) = cyclic(3)`
 /// redistribution of `count` elements with the given strides.
@@ -36,14 +37,11 @@ fn bench_triple<T: PackValue + Default>(
     let n_b = sec_b.normalized().hi + 1;
     let bg: Vec<T> = (0..n_b).map(make).collect();
     let b = DistArray::from_global(p, k_b, &bg).unwrap();
-    let sched = CommSchedule::build_lattice(p, k_a, &sec_a, k_b, &sec_b).unwrap();
     let mut group = bench.group(group);
     for kind in TransportKind::ALL {
         let mut a = DistArray::new(p, k_a, n_a, T::default()).unwrap();
         group.bench(&format!("{}/{label}", kind.name()), || {
-            sched
-                .execute_transport(&mut a, &b, ExecMode::Batched, LaunchMode::Pooled, kind)
-                .unwrap();
+            assign_copy_on(&mut a, &sec_a, &b, &sec_b, LaunchMode::Pooled, kind).unwrap();
             black_box(a.local(0).len())
         });
     }

@@ -498,7 +498,7 @@ pub fn stats(argv: &[String]) -> i32 {
         );
         print!("{}", bcag_rt::flight::render(tail));
         println!(
-            "statement compiler: mode={} (BCAG_FUSE=on|off), transport={}, launch={}",
+            "statement compiler: mode={}, transport={}, launch={}",
             bcag_spmd::default_fused().name(),
             bcag_spmd::transport::active_transport().name(),
             bcag_spmd::pool::default_launch().name()
@@ -624,10 +624,10 @@ fn replace_cyclic_numbers(line: &str, k: i64) -> String {
 }
 
 /// Built-in workload for `bcag trace` with no script: per-node table builds
-/// on the SPMD machine followed by a two-distribution remapping assignment
-/// through [`CommSchedule`], so every instrumented layer shows up.
+/// on the SPMD machine followed by a two-distribution remapping copy
+/// through its fused program, so every instrumented layer shows up.
 fn synthetic_workload(p: i64, k: i64) -> Result<String, String> {
-    use bcag_spmd::{CommSchedule, DistArray};
+    use bcag_spmd::{assign_array, DistArray};
     let problem = Problem::new(p, k, 4, 9).map_err(|e| e.to_string())?;
     let patterns =
         bcag_spmd::pool::build_all(&problem, Method::Lattice).map_err(|e| e.to_string())?;
@@ -638,15 +638,13 @@ fn synthetic_workload(p: i64, k: i64) -> Result<String, String> {
     let k_b = k + 1;
     let sec_a = RegularSection::new(0, 3 * (c - 1), 3).map_err(|e| e.to_string())?;
     let sec_b = RegularSection::new(1, 1 + 2 * (c - 1), 2).map_err(|e| e.to_string())?;
-    let sched =
-        CommSchedule::build_lattice(p, k, &sec_a, k_b, &sec_b).map_err(|e| e.to_string())?;
     let mut a = DistArray::new(p, k, 3 * c, 0.0f64).map_err(|e| e.to_string())?;
     let src: Vec<f64> = (0..2 * c).map(|i| i as f64).collect();
     let b = DistArray::from_global(p, k_b, &src).map_err(|e| e.to_string())?;
-    sched.execute(&mut a, &b).map_err(|e| e.to_string())?;
+    assign_array(&mut a, &sec_a, &b, &sec_b).map_err(|e| e.to_string())?;
     Ok(format!(
         "synthetic workload (p={p} k={k}): {table_total} table entries, {} elements remapped",
-        sched.total_elements()
+        sec_a.count()
     ))
 }
 

@@ -28,18 +28,29 @@ fn script_path(name: &str) -> String {
     )
 }
 
+/// Every communicating statement kind — one- and two-operand mixed
+/// layouts, the general-case stride, self-reference, `CSHIFT` and
+/// `REDISTRIBUTE` — runs as fused programs in both modes, so the
+/// multi-process output must match the in-process one byte for byte.
 #[test]
 fn spmd_matches_in_process_run() {
-    let script = script_path("triad.hpf");
-    let (in_process, _, code) = bcag(&["run", "--file", &script], &[]);
-    assert_eq!(code, 0);
-    let (multi_process, stderr, code) = bcag(&["spmd", "--file", &script, "--procs", "4"], &[]);
-    assert_eq!(code, 0, "{stderr}");
-    assert_eq!(multi_process, in_process, "output must be bit-identical");
-    assert!(
-        multi_process.contains("SUM A(0:99:3) = 3009"),
-        "{multi_process}"
-    );
+    for name in ["triad.hpf", "cache_loop.hpf", "mixed.hpf"] {
+        let script = script_path(name);
+        let (in_process, _, code) = bcag(&["run", "--file", &script], &[]);
+        assert_eq!(code, 0, "{name}");
+        let (multi_process, stderr, code) = bcag(&["spmd", "--file", &script, "--procs", "4"], &[]);
+        assert_eq!(code, 0, "{name}: {stderr}");
+        assert_eq!(
+            multi_process, in_process,
+            "{name}: output must be bit-identical"
+        );
+        if name != "mixed.hpf" {
+            assert!(
+                multi_process.contains("SUM A(0:99:3) = 3009"),
+                "{multi_process}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -75,88 +86,66 @@ fn spmd_trace_merges_per_node_lanes() {
 }
 
 /// The traffic- and wait-shaped histograms must merge *exactly* across
-/// node processes: the merged trace's total counts equal an in-process
+/// node processes: the merged trace's total counts equal one in-process
 /// traced run of the same script, message for message. (Per-process
 /// histograms like `rt_statement_ns` legitimately multiply by p — every
 /// node interprets the whole script — so only the distributions driven
-/// by the shared communication schedule are compared.)
-///
-/// Multi-process sessions run the interpreted statement path, so the
-/// baseline in-process run pins `BCAG_FUSE=off`; a third, fused run then
-/// checks the fused epochs feed the same schedule-driven histograms with
-/// identical counts (`barrier_wait_ns` excepted — the pool's epoch
-/// barrier replaces the fabric barrier in a fused epoch). `msg_bytes` is
-/// charged per logical (operand, peer) message even though fused epochs
-/// coalesce physical sends by destination; `recv_wait_ns` records
-/// physical receives, which equal logical ones on this single-operand
-/// script.
+/// by the compiled programs' message blocks are compared.) Each process
+/// counts only its own row, so `msg_bytes` (one sample per logical
+/// message) and `recv_wait_ns` (one per received block) sum to the
+/// in-process totals.
 #[test]
 fn spmd_merged_histogram_counts_match_in_process_run() {
-    let script = script_path("cache_loop.hpf");
     let dir = std::env::temp_dir().join(format!("bcag-spmd-hist-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let spmd_out = dir.join("spmd.json");
-    let inproc_out = dir.join("inproc.json");
-    let fused_out = dir.join("fused.json");
-    let (_, stderr, code) = bcag(
-        &[
-            "spmd",
-            "--file",
-            &script,
-            "--procs",
-            "4",
-            "--trace",
-            spmd_out.to_str().unwrap(),
-        ],
-        &[],
-    );
-    assert_eq!(code, 0, "{stderr}");
-    let (_, stderr, code) = bcag(
-        &[
-            "trace",
-            "--file",
-            &script,
-            "--trace",
-            inproc_out.to_str().unwrap(),
-        ],
-        &[("BCAG_FUSE", "off")],
-    );
-    assert_eq!(code, 0, "{stderr}");
-    let (_, stderr, code) = bcag(
-        &[
-            "trace",
-            "--file",
-            &script,
-            "--trace",
-            fused_out.to_str().unwrap(),
-        ],
-        &[("BCAG_FUSE", "on")],
-    );
-    assert_eq!(code, 0, "{stderr}");
-    let spmd = bcag_harness::json::Json::parse(&std::fs::read_to_string(&spmd_out).unwrap())
-        .expect("merged summary parses");
-    let inproc = bcag_harness::json::Json::parse(&std::fs::read_to_string(&inproc_out).unwrap())
-        .expect("in-process summary parses");
-    let fused = bcag_harness::json::Json::parse(&std::fs::read_to_string(&fused_out).unwrap())
-        .expect("fused summary parses");
-    let count = |doc: &bcag_harness::json::Json, name: &str| {
-        doc.get("histograms")
-            .and_then(|h| h.get(name))
-            .and_then(|h| h.get("count"))
-            .and_then(|c| c.as_i64())
-            .unwrap_or_else(|| panic!("histogram {name} missing"))
-    };
-    for name in ["recv_wait_ns", "barrier_wait_ns", "msg_bytes"] {
-        let (s, i) = (count(&spmd, name), count(&inproc, name));
-        assert_eq!(s, i, "{name}: merged spmd count {s} != in-process {i}");
-        assert!(s > 0, "{name}: empty distribution");
-    }
-    // Fused trace parity: the compiled epochs drive the same message
-    // exchange, so the schedule-driven distributions keep their counts.
-    for name in ["recv_wait_ns", "msg_bytes"] {
-        let (f, i) = (count(&fused, name), count(&inproc, name));
-        assert_eq!(f, i, "{name}: fused count {f} != interpreted {i}");
-        assert!(f > 0, "{name}: empty distribution");
+    for name in ["cache_loop.hpf", "mixed.hpf"] {
+        let script = script_path(name);
+        let spmd_out = dir.join(format!("{name}.spmd.json"));
+        let inproc_out = dir.join(format!("{name}.inproc.json"));
+        let (_, stderr, code) = bcag(
+            &[
+                "spmd",
+                "--file",
+                &script,
+                "--procs",
+                "4",
+                "--trace",
+                spmd_out.to_str().unwrap(),
+            ],
+            &[],
+        );
+        assert_eq!(code, 0, "{name}: {stderr}");
+        let (_, stderr, code) = bcag(
+            &[
+                "trace",
+                "--file",
+                &script,
+                "--trace",
+                inproc_out.to_str().unwrap(),
+            ],
+            &[],
+        );
+        assert_eq!(code, 0, "{name}: {stderr}");
+        let parse = |path: &std::path::Path| {
+            bcag_harness::json::Json::parse(&std::fs::read_to_string(path).unwrap())
+                .expect("trace summary parses")
+        };
+        let (spmd, inproc) = (parse(&spmd_out), parse(&inproc_out));
+        let count = |doc: &bcag_harness::json::Json, hist: &str| {
+            doc.get("histograms")
+                .and_then(|h| h.get(hist))
+                .and_then(|h| h.get("count"))
+                .and_then(|c| c.as_i64())
+                .unwrap_or_else(|| panic!("{name}: histogram {hist} missing"))
+        };
+        for hist in ["recv_wait_ns", "msg_bytes"] {
+            let (s, i) = (count(&spmd, hist), count(&inproc, hist));
+            assert_eq!(
+                s, i,
+                "{name} {hist}: merged spmd count {s} != in-process {i}"
+            );
+            assert!(s > 0, "{name} {hist}: empty distribution");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

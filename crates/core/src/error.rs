@@ -48,6 +48,10 @@ pub enum BcagError {
     EmptySection,
     /// Affine alignment coefficient must be nonzero.
     ZeroAlignmentStride,
+    /// A message from a peer node process violated the wire protocol
+    /// (truncated, mis-tagged, or the wrong size for its compiled
+    /// block); the message names the violation.
+    Protocol(&'static str),
 }
 
 impl fmt::Display for BcagError {
@@ -74,6 +78,7 @@ impl fmt::Display for BcagError {
             BcagError::ZeroAlignmentStride => {
                 write!(f, "affine alignment coefficient `a` must be nonzero")
             }
+            BcagError::Protocol(msg) => write!(f, "wire protocol violation: {msg}"),
         }
     }
 }

@@ -7,8 +7,8 @@
 //! Each record carries what an operator needs after the fact: the
 //! statement's kind and text, its latency, the data it moved (when
 //! tracing was on), whether the schedule cache answered, and the
-//! execution configuration ([`bcag_spmd::comm::ExecMode`],
-//! [`bcag_spmd::pack::PackMode`], transport, launch mode) it ran under.
+//! execution configuration ([`bcag_spmd::pack::PackMode`], blocking,
+//! transport, launch mode) it ran under.
 //! The ring is dumped to stderr when a statement panics (pool poison
 //! propagates as a panic) and on demand via the `bcag stats`
 //! subcommand.
@@ -42,10 +42,6 @@ pub struct StatementRecord {
     pub cache_hits: u64,
     /// Schedule-cache misses (builds) this statement caused.
     pub cache_misses: u64,
-    /// Executor mode name (`batched` / `per-element`).
-    pub exec_mode: &'static str,
-    /// Statement-compiler mode name (`fused` / `interp`).
-    pub fuse: &'static str,
     /// Pack mode the statement actually resolved to (`runs` /
     /// `per-element`, or `-` before any pack ran) — under the self-tuning
     /// default this is the measured dispatch decision, not a static
@@ -126,8 +122,6 @@ pub fn record(kind: &'static str, line: &str, before: Baseline, ok: bool) {
         },
         cache_hits: cache_now.0.saturating_sub(before.cache.0),
         cache_misses: cache_now.1.saturating_sub(before.cache.1),
-        exec_mode: bcag_spmd::comm::ExecMode::Batched.name(),
-        fuse: bcag_spmd::fuse::default_fused().name(),
         pack_mode: bcag_spmd::pack::last_pack_mode().map_or("-", |m| m.name()),
         blocked: bcag_spmd::fuse::last_blocked().unwrap_or(false),
         transport: bcag_spmd::transport::active_transport().name(),
@@ -155,7 +149,7 @@ pub fn clear() {
 pub fn render(records: &[StatementRecord]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>5} {:<16} {:>10} {:>9} {:>10} {:>5} {:>5} {:<8} {:<6} {:<15} {:<6} {:<6} {:<3} statement\n",
+        "{:>5} {:<16} {:>10} {:>9} {:>10} {:>5} {:>5} {:<15} {:<6} {:<6} {:<3} statement\n",
         "seq",
         "kind",
         "lat_us",
@@ -163,8 +157,6 @@ pub fn render(records: &[StatementRecord]) -> String {
         "tx_bytes",
         "hit",
         "miss",
-        "exec",
-        "fuse",
         "pack",
         "xport",
         "launch",
@@ -177,7 +169,7 @@ pub fn render(records: &[StatementRecord]) -> String {
             r.pack_mode.to_string()
         };
         out.push_str(&format!(
-            "{:>5} {:<16} {:>10.1} {:>9} {:>10} {:>5} {:>5} {:<8} {:<6} {:<15} {:<6} {:<6} {:<3} {}\n",
+            "{:>5} {:<16} {:>10.1} {:>9} {:>10} {:>5} {:>5} {:<15} {:<6} {:<6} {:<3} {}\n",
             r.seq,
             r.kind,
             r.latency_ns as f64 / 1_000.0,
@@ -185,8 +177,6 @@ pub fn render(records: &[StatementRecord]) -> String {
             r.bytes_tx,
             r.cache_hits,
             r.cache_misses,
-            r.exec_mode,
-            r.fuse,
             pack,
             r.transport,
             r.launch,
@@ -268,8 +258,6 @@ mod tests {
             bytes_tx: 80,
             cache_hits: 2,
             cache_misses: 1,
-            exec_mode: "batched",
-            fuse: "fused",
             pack_mode: "runs",
             blocked: true,
             transport: "shm",
@@ -281,7 +269,6 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("rt.ASSIGN"), "{text}");
         assert!(text.contains("ASSIGN A(0:9:1)"), "{text}");
-        assert!(text.contains("fused"), "{text}");
         assert!(text.contains("runs+blk"), "{text}");
     }
 

@@ -833,12 +833,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_interpreted_scripts_print_identically() {
-        // The same script through the fused statement compiler and the
-        // interpreted gather/compute path must print bit-identical
-        // output (the fused path's contract).
-        use bcag_spmd::{set_default_fused, FusedMode};
-        const AB_SCRIPT: &str = "
+    fn scripts_print_the_sequential_reference() {
+        // Mixed-layout, self-referencing and FORALL statements through the
+        // runtime must print exactly what the same statements evaluated
+        // over plain global arrays give.
+        const SCRIPT: &str = "
             PROCESSORS P(4)
             TEMPLATE T(400)
             REAL A(400)
@@ -855,12 +854,24 @@ mod tests {
             PRINT SUM A(0:399:1)
             PRINT A(100:109:1)
         ";
-        set_default_fused(FusedMode::On);
-        let fused = Interp::run(AB_SCRIPT).unwrap();
-        set_default_fused(FusedMode::Off);
-        let interp = Interp::run(AB_SCRIPT).unwrap();
-        set_default_fused(FusedMode::On);
-        assert_eq!(fused, interp);
+        let b: Vec<f64> = (0..400).map(|i| i as f64).collect();
+        let mut a = vec![0.0f64; 400];
+        for t in 0..34 {
+            a[3 * t] = 2.0 * b[10 * t] + 1.0;
+        }
+        let before = a.clone();
+        for t in 0..100 {
+            a[100 + t] = before[t] * 0.5 - b[t];
+        }
+        for i in 0..50 {
+            a[3 * i] = b[2 * i] + b[0] + 1.0;
+        }
+        let sum: f64 = a.iter().sum();
+        let want = vec![
+            format!("SUM A(0:399:1) = {sum}"),
+            format!("A(100:109:1) = {:?}", &a[100..110]),
+        ];
+        assert_eq!(Interp::run(SCRIPT).unwrap(), want);
     }
 
     #[test]

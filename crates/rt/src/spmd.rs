@@ -25,8 +25,8 @@
 //! every child (each materializes all `p` locals), so the interpreter
 //! runs unchanged — `FORALL` reads are local everywhere and `PRINT`
 //! computes identical values on every node. Only communication
-//! statements touch the pipes, through the proc-session path in
-//! `bcag_spmd::comm`.
+//! statements touch the pipes, through the replicated run of their fused
+//! programs in `bcag_spmd::fuse`.
 
 use std::io::Write as _;
 use std::path::Path;

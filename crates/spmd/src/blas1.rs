@@ -84,9 +84,7 @@ pub fn axpy(
     // General path: gather x's section to y's owners, then combine. The
     // gathered temporary is y-shaped, with x values at y's addresses.
     let mut staged = y.clone();
-    let sched =
-        crate::comm::CommSchedule::build(y.p(), y.k(), sec_y, x.k(), sec_x, Method::Lattice)?;
-    sched.execute(&mut staged, x)?;
+    crate::statement::assign_array(&mut staged, sec_y, x, sec_x)?;
     let plans = crate::cache::plans(y.p(), y.k(), sec_y, Method::Lattice)?;
     let machine = Machine::new(y.p());
     let staged_ref = &staged;

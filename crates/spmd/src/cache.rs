@@ -63,21 +63,19 @@ pub const DEFAULT_CAPACITY: usize = 128;
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
-    /// A communication schedule. `method` is the pattern method of
-    /// [`CommSchedule::build`], or `None` for the closed-form
-    /// [`CommSchedule::build_lattice`] (a different algorithm, cached
-    /// under a different key even though the results agree).
+    /// A communication schedule from [`CommSchedule::build`] with the
+    /// given pattern method.
     Schedule {
         p: i64,
         k_a: i64,
         sec_a: (i64, i64, i64),
         k_b: i64,
         sec_b: (i64, i64, i64),
-        method: Option<Method>,
+        method: Method,
         /// The execution context the schedule will run under. The
         /// schedule *data* is context-independent, but keying on the
         /// (exec mode, transport) pair guarantees an A/B run switching
-        /// executors mid-process can never observe a plan warmed for —
+        /// transports mid-process can never observe a plan warmed for —
         /// and potentially specialized to — the other configuration.
         exec: (ExecMode, TransportKind),
     },
@@ -709,41 +707,11 @@ pub fn schedule(
         sec_a: sec_key(sec_a),
         k_b,
         sec_b: sec_key(sec_b),
-        method: Some(method),
+        method,
         exec: (mode, kind),
     };
     let v = get_or_build(key, || {
         CommSchedule::build(p, k_a, sec_a, k_b, sec_b, method).map(|s| Value::Schedule(Arc::new(s)))
-    })?;
-    match v {
-        Value::Schedule(s) => Ok(s),
-        _ => unreachable!("schedule key maps to schedule value"),
-    }
-}
-
-/// Cached [`CommSchedule::build_lattice`], keyed additionally by the
-/// execution context (`mode`, `kind`) the caller will run the schedule
-/// under.
-pub fn schedule_lattice(
-    p: i64,
-    k_a: i64,
-    sec_a: &RegularSection,
-    k_b: i64,
-    sec_b: &RegularSection,
-    mode: ExecMode,
-    kind: TransportKind,
-) -> Result<Arc<CommSchedule>> {
-    let key = Key::Schedule {
-        p,
-        k_a,
-        sec_a: sec_key(sec_a),
-        k_b,
-        sec_b: sec_key(sec_b),
-        method: None,
-        exec: (mode, kind),
-    };
-    let v = get_or_build(key, || {
-        CommSchedule::build_lattice(p, k_a, sec_a, k_b, sec_b).map(|s| Value::Schedule(Arc::new(s)))
     })?;
     match v {
         Value::Schedule(s) => Ok(s),
@@ -859,22 +827,13 @@ mod tests {
         let first = schedule(5, 11, &sec_a, 13, &sec_b, Method::Lattice, CTX.0, CTX.1).unwrap();
         let second = schedule(5, 11, &sec_a, 13, &sec_b, Method::Lattice, CTX.0, CTX.1).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
-        // The lattice builder is a distinct key even for identical params.
-        let lattice = schedule_lattice(5, 11, &sec_a, 13, &sec_b, CTX.0, CTX.1).unwrap();
-        assert!(!Arc::ptr_eq(&first, &lattice));
-        for src in 0..5 {
-            for dst in 0..5 {
-                assert_eq!(first.transfers(src, dst), lattice.transfers(src, dst));
-            }
-        }
     }
 
     #[test]
     fn execution_context_is_part_of_the_key() {
-        // Same build parameters under different (mode, transport)
-        // contexts must be distinct entries: an A/B run switching
-        // executors can never be served a plan warmed for the other
-        // configuration.
+        // Same build parameters under different transports must be
+        // distinct entries: an A/B run switching fabrics can never be
+        // served a plan warmed for the other configuration.
         let sec_a = RegularSection::new(9, 1209, 24).unwrap();
         let sec_b = RegularSection::new(1, 1201, 24).unwrap();
         let base = schedule(3, 7, &sec_a, 9, &sec_b, Method::Lattice, CTX.0, CTX.1).unwrap();
@@ -889,24 +848,11 @@ mod tests {
             TransportKind::Shm,
         )
         .unwrap();
-        let other_mode = schedule(
-            3,
-            7,
-            &sec_a,
-            9,
-            &sec_b,
-            Method::Lattice,
-            ExecMode::PerElement,
-            TransportKind::Mpsc,
-        )
-        .unwrap();
         assert!(!Arc::ptr_eq(&base, &other_kind));
-        assert!(!Arc::ptr_eq(&base, &other_mode));
         // The schedule *data* is context-independent.
         for src in 0..3 {
             for dst in 0..3 {
                 assert_eq!(base.transfers(src, dst), other_kind.transfers(src, dst));
-                assert_eq!(base.transfers(src, dst), other_mode.transfers(src, dst));
             }
         }
     }

@@ -6,34 +6,34 @@
 //! elements (the communication sets) is the companion problem Chatterjee
 //! et al. and Stichnoth et al. study; here it is a substrate for the
 //! examples, built directly on the access-sequence machinery: each source
-//! processor enumerates the RHS elements it owns with the core algorithm,
-//! maps each element's section rank to its LHS home, and the exchange is
-//! executed by message passing over the pluggable [`crate::transport`]
-//! fabric (standing in for the iPSC/860's message passing). Node bodies
-//! launch through [`crate::pool`]: pooled mode reuses the resident fabric
-//! and recycles message buffers through each node's arena; scoped mode
-//! reproduces the historical per-call spawn. Both modes run the identical
-//! body, so all deterministic counter totals are bit-identical across
-//! modes — and across transports, because the transport byte counters
-//! are charged at the canonical wire size on every backend.
+//! processor enumerates the RHS elements it owns with the core algorithm
+//! and maps each element's section rank to its LHS home. The fused
+//! statement compiler ([`crate::fuse`]) turns these sets into per-node
+//! epochs — the one executor that moves array data.
 //!
-//! The module splits along the three phases of the problem:
+//! The module splits along the two halves of the problem:
 //!
 //! * [`schedule`] — *what moves*: [`Transfer`]/[`TransferRun`] rows in
 //!   flat CSR storage, built by enumeration or in closed form, plus the
 //!   [`MessageMatrix`] planning query;
 //! * [`wire`] — *how it is represented*: the [`PackValue`] payload hooks
-//!   (pack/apply/run-coalesced fast paths) and the run-encoded wire
+//!   (run-coalesced gather/scatter fast paths) and the run-encoded wire
 //!   format (`RunSpan` headers + fixed-width payload bytes) the
-//!   serialized backends ship;
-//! * [`exec`] — *how it runs*: the batched and per-element executors over
-//!   any [`crate::transport::TransportKind`], and the multi-process
-//!   executor behind `bcag spmd`.
+//!   serialized backends ship.
 
-pub mod exec;
 pub mod schedule;
 pub mod wire;
 
-pub use exec::{assign_array, ExecMode};
 pub use schedule::{CommSchedule, MessageMatrix, Transfer, TransferRun};
 pub use wire::{PackValue, RunSpan};
+
+/// The data-movement strategy cached schedules and fused programs are
+/// keyed by. Fused epochs are the only executor, so this has a single
+/// variant; it survives because the plan-cache key and the
+/// [`crate::fuse::compile`] signature still carry it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ExecMode {
+    /// One message per non-empty (src, dst ≠ src) pair per epoch, with
+    /// same-node transfers applied in place.
+    Batched,
+}

@@ -408,8 +408,8 @@ impl CommSchedule {
     }
 
     /// Number of non-empty (src, dst ≠ src) pairs — exactly the number of
-    /// messages the batched executor sends, and the schedule-side twin of
-    /// the traced `messages_sent` counter.
+    /// logical messages a fused epoch charges, and the schedule-side twin
+    /// of the traced `messages_sent` counter.
     pub fn nonempty_nonlocal_pairs(&self) -> usize {
         let p = self.p as usize;
         (0..p)

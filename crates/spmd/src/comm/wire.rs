@@ -1,13 +1,15 @@
-//! Payload representation: the [`PackValue`] hooks the executors' inner
-//! loops are built on, and the run-encoded wire format the serialized
-//! transports ship.
+//! Payload representation: the [`PackValue`] hooks the fused epochs'
+//! inner loops are built on, and the run-encoded wire format the
+//! serialized transports ship.
 //!
-//! A batched message is conceptually `(Vec<RunSpan>, Vec<T>)`: run
+//! A run-encoded message is conceptually `(Vec<RunSpan>, Vec<T>)`: run
 //! headers saying *where* the next `len` payload values land, plus the
-//! packed values themselves. In-memory backends move that pair as a
-//! type-erased boxed envelope; serialized backends ([`TransportKind::
-//! Proc`](crate::transport::TransportKind) in-process, and the
-//! multi-process `bcag spmd` pipes) move its byte encoding:
+//! packed values themselves. Fused epochs compile the layout into the
+//! receiver's plan, so their blocks carry values only: in-memory backends
+//! move them as a type-erased boxed envelope; serialized backends
+//! ([`TransportKind::Proc`](crate::transport::TransportKind) in-process,
+//! and the multi-process `bcag spmd` pipes) move the byte encoding (with
+//! zero spans, plus the sender's node index as a trailing tag):
 //!
 //! ```text
 //! [nspans: u32] [nvals: u32] [elem_bytes: u32]      — 12-byte header
@@ -18,15 +20,15 @@
 //! All integers little-endian. A payload type opts into the wire with
 //! [`PackValue::WIRE_BYTES`]`= Some(width)`; types without a fixed-width
 //! encoding (`String`, `Vec`, `Option`) keep the default `None` and stay
-//! on boxed envelopes (and are rejected by the multi-process executor).
+//! on boxed envelopes (and are rejected inside a multi-process session).
 //! [`wire_size`] is the *canonical* size of a message — the transport
 //! byte counters charge it on every backend, serialized or not, so
 //! `transport_bytes_tx`/`_rx` totals are backend-independent.
 
-use super::schedule::{Transfer, TransferRun};
+use bcag_core::error::{BcagError, Result};
 
-/// On-the-wire run header of the batched executor's run-encoded messages:
-/// the next `len` payload values land at `dst_local, dst_local + gap, …`.
+/// On-the-wire run header of a run-encoded message: the next `len`
+/// payload values land at `dst_local, dst_local + gap, …`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSpan {
     /// First destination local address.
@@ -39,10 +41,9 @@ pub struct RunSpan {
 
 /// Payload types the communication engine can move.
 ///
-/// The hooks cover the engine's inner loops: packing outgoing transfers
-/// into a message buffer, applying same-node transfers in place, and the
-/// run-coalesced variants (`extend_run`/`write_run`/`apply_runs`) the
-/// batched executor and [`crate::pack`] are built on. The default bodies
+/// The hooks cover the engine's inner loops: the run-coalesced gather
+/// and scatter (`extend_run`/`write_run`) the fused epochs and
+/// [`crate::pack`] are built on. The default bodies
 /// clone element by element — correct for any `Clone` payload. The macro
 /// below overrides them for the primitive numeric types with straight
 /// copies — `extend_from_slice`/`copy_from_slice` for unit-gap runs — so
@@ -78,23 +79,6 @@ pub trait PackValue: Clone + Send + Sync + 'static {
         unreachable!("payload type has no wire format (WIRE_BYTES is None)")
     }
 
-    /// Appends `(dst_local, value)` records for `transfers` onto `out`,
-    /// reading payloads from the source node's local memory `src`.
-    fn pack_into(src: &[Self], transfers: &[Transfer], out: &mut Vec<(i64, Self)>) {
-        out.reserve(transfers.len());
-        for tr in transfers {
-            out.push((tr.dst_local, src[tr.src_local as usize].clone()));
-        }
-    }
-
-    /// Applies same-node transfers straight from `src` into `dst`, without
-    /// staging through a message.
-    fn apply_local(dst: &mut [Self], src: &[Self], transfers: &[Transfer]) {
-        for tr in transfers {
-            dst[tr.dst_local as usize] = src[tr.src_local as usize].clone();
-        }
-    }
-
     /// Appends the `len` elements `src[addr], src[addr + gap], …` onto
     /// `out` — one traversal segment of a pack.
     fn extend_run(out: &mut Vec<Self>, src: &[Self], addr: usize, gap: usize, len: usize) {
@@ -121,37 +105,11 @@ pub trait PackValue: Clone + Send + Sync + 'static {
             }
         }
     }
-
-    /// Applies same-node transfer runs straight from `src` into `dst` —
-    /// the run-coalesced form of [`PackValue::apply_local`].
-    fn apply_runs(dst: &mut [Self], src: &[Self], runs: &[TransferRun]) {
-        for r in runs {
-            for j in 0..r.len {
-                dst[(r.dst_local + j * r.dgap) as usize] =
-                    src[(r.src_local + j * r.sgap) as usize].clone();
-            }
-        }
-    }
 }
 
 /// Shared `Copy` fast paths: the macro'd primitive impls and the `[U; N]`
 /// impl all delegate here, so the memcpy bodies exist once.
 mod copy_fast {
-    use super::{Transfer, TransferRun};
-
-    pub fn pack_into<T: Copy>(src: &[T], transfers: &[Transfer], out: &mut Vec<(i64, T)>) {
-        out.reserve(transfers.len());
-        for tr in transfers {
-            out.push((tr.dst_local, src[tr.src_local as usize]));
-        }
-    }
-
-    pub fn apply_local<T: Copy>(dst: &mut [T], src: &[T], transfers: &[Transfer]) {
-        for tr in transfers {
-            dst[tr.dst_local as usize] = src[tr.src_local as usize];
-        }
-    }
-
     pub fn extend_run<T: Copy>(out: &mut Vec<T>, src: &[T], addr: usize, gap: usize, len: usize) {
         if gap == 1 {
             out.extend_from_slice(&src[addr..addr + len]);
@@ -211,43 +169,17 @@ mod copy_fast {
             c[0] = *v;
         }
     }
-
-    pub fn apply_runs<T: Copy>(dst: &mut [T], src: &[T], runs: &[TransferRun]) {
-        for r in runs {
-            if r.sgap == 1 && r.dgap == 1 {
-                let (s, d, n) = (r.src_local as usize, r.dst_local as usize, r.len as usize);
-                dst[d..d + n].copy_from_slice(&src[s..s + n]);
-            } else {
-                for j in 0..r.len {
-                    dst[(r.dst_local + j * r.dgap) as usize] =
-                        src[(r.src_local + j * r.sgap) as usize];
-                }
-            }
-        }
-    }
 }
 
-/// Emits the five `copy_fast` delegations inside a `PackValue` impl.
+/// Emits the two `copy_fast` delegations inside a `PackValue` impl.
 macro_rules! copy_fast_methods {
     () => {
-        fn pack_into(src: &[Self], transfers: &[Transfer], out: &mut Vec<(i64, Self)>) {
-            copy_fast::pack_into(src, transfers, out)
-        }
-
-        fn apply_local(dst: &mut [Self], src: &[Self], transfers: &[Transfer]) {
-            copy_fast::apply_local(dst, src, transfers)
-        }
-
         fn extend_run(out: &mut Vec<Self>, src: &[Self], addr: usize, gap: usize, len: usize) {
             copy_fast::extend_run(out, src, addr, gap, len)
         }
 
         fn write_run(dst: &mut [Self], addr: usize, gap: usize, vals: &[Self]) {
             copy_fast::write_run(dst, addr, gap, vals)
-        }
-
-        fn apply_runs(dst: &mut [Self], src: &[Self], runs: &[TransferRun]) {
-            copy_fast::apply_runs(dst, src, runs)
         }
     };
 }
@@ -371,45 +303,64 @@ pub fn encode<T: PackValue>(spans: &[RunSpan], vals: &[T]) -> Vec<u8> {
 /// Decodes a message produced by [`encode`], appending onto the given
 /// buffers (typically arena-recycled).
 ///
+/// Bytes from a peer process are untrusted input: a truncated header,
+/// an element-width mismatch or a length that disagrees with the header
+/// counts is a [`BcagError::Protocol`] error, never a panic.
+///
 /// # Panics
 ///
-/// On a malformed or truncated message, or an element-width mismatch —
-/// the pipes are internal, so corruption is a bug, not an input error.
-pub fn decode_into<T: PackValue>(bytes: &[u8], spans: &mut Vec<RunSpan>, vals: &mut Vec<T>) {
+/// If `T` has no wire format — callers gate on that before choosing the
+/// serialized path.
+pub fn decode_into<T: PackValue>(
+    bytes: &[u8],
+    spans: &mut Vec<RunSpan>,
+    vals: &mut Vec<T>,
+) -> Result<()> {
     let elem = T::WIRE_BYTES.expect("payload type has no wire format");
-    let word =
-        |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-    assert!(bytes.len() >= HEADER_BYTES, "truncated wire header");
+    let Some(header) = bytes.get(..HEADER_BYTES) else {
+        return Err(BcagError::Protocol("truncated wire header"));
+    };
+    let word = |at: usize| {
+        u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]]) as usize
+    };
     let (nspans, nvals, got_elem) = (word(0), word(4), word(8));
-    assert_eq!(got_elem, elem, "wire element width mismatch");
-    assert_eq!(
-        bytes.len(),
-        HEADER_BYTES + nspans * SPAN_BYTES + nvals * elem,
-        "wire message length mismatch"
-    );
-    let long = |at: usize| i64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    if got_elem != elem {
+        return Err(BcagError::Protocol("wire element width mismatch"));
+    }
+    let base = nspans
+        .checked_mul(SPAN_BYTES)
+        .and_then(|n| n.checked_add(HEADER_BYTES));
+    let total = base.and_then(|b| nvals.checked_mul(elem)?.checked_add(b));
+    let (Some(base), Some(total)) = (base, total) else {
+        return Err(BcagError::Protocol("wire message length overflows"));
+    };
+    if bytes.len() != total {
+        return Err(BcagError::Protocol("wire message length mismatch"));
+    }
+    let long = |at: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&bytes[at..at + 8]);
+        i64::from_le_bytes(w)
+    };
     spans.reserve(nspans);
-    for i in 0..nspans {
-        let at = HEADER_BYTES + i * SPAN_BYTES;
+    for at in (HEADER_BYTES..base).step_by(SPAN_BYTES) {
         spans.push(RunSpan {
             dst_local: long(at),
             gap: long(at + 8),
             len: long(at + 16),
         });
     }
-    let base = HEADER_BYTES + nspans * SPAN_BYTES;
     vals.reserve(nvals);
-    for i in 0..nvals {
-        vals.push(T::wire_read(&bytes[base + i * elem..base + (i + 1) * elem]));
-    }
+    vals.extend(bytes[base..].chunks_exact(elem).map(T::wire_read));
+    Ok(())
 }
 
 /// [`decode_into`] into fresh vectors.
-pub fn decode<T: PackValue>(bytes: &[u8]) -> (Vec<RunSpan>, Vec<T>) {
+pub fn decode<T: PackValue>(bytes: &[u8]) -> Result<(Vec<RunSpan>, Vec<T>)> {
     let mut spans = Vec::new();
     let mut vals = Vec::new();
-    decode_into(bytes, &mut spans, &mut vals);
-    (spans, vals)
+    decode_into(bytes, &mut spans, &mut vals)?;
+    Ok((spans, vals))
 }
 
 #[cfg(test)]
@@ -433,24 +384,24 @@ mod tests {
         let ints = vec![1i64, -9, 1 << 40, 42];
         let bytes = encode(&spans, &ints);
         assert_eq!(bytes.len(), wire_size::<i64>(spans.len(), ints.len()));
-        assert_eq!(decode::<i64>(&bytes), (spans.clone(), ints));
+        assert_eq!(decode::<i64>(&bytes).unwrap(), (spans.clone(), ints));
 
         let quads = vec![[1.5f64, -2.0, 0.0, 3.25], [f64::MAX, f64::MIN, 0.5, -0.5]];
         let bytes = encode(&spans, &quads);
         assert_eq!(bytes.len(), wire_size::<[f64; 4]>(spans.len(), quads.len()));
-        assert_eq!(decode::<[f64; 4]>(&bytes), (spans.clone(), quads));
+        assert_eq!(decode::<[f64; 4]>(&bytes).unwrap(), (spans.clone(), quads));
 
         let small = vec![true, false, true];
         let chars = vec!['α', 'z', '🦀'];
-        assert_eq!(decode::<bool>(&encode(&spans, &small)).1, small);
-        assert_eq!(decode::<char>(&encode(&spans, &chars)).1, chars);
+        assert_eq!(decode::<bool>(&encode(&spans, &small)).unwrap().1, small);
+        assert_eq!(decode::<char>(&encode(&spans, &chars)).unwrap().1, chars);
     }
 
     #[test]
     fn empty_message_is_just_a_header() {
         let bytes = encode::<u8>(&[], &[]);
         assert_eq!(bytes.len(), 12);
-        assert_eq!(decode::<u8>(&bytes), (vec![], vec![]));
+        assert_eq!(decode::<u8>(&bytes).unwrap(), (vec![], vec![]));
     }
 
     #[test]
@@ -466,9 +417,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn truncated_message_panics() {
-        let mut bytes = encode(
+    fn malformed_messages_are_protocol_errors() {
+        let good = encode(
             &[RunSpan {
                 dst_local: 0,
                 gap: 1,
@@ -476,7 +426,27 @@ mod tests {
             }],
             &[1i64, 2],
         );
-        bytes.truncate(bytes.len() - 1);
-        let _ = decode::<i64>(&bytes);
+        let err = |bytes: &[u8]| decode::<i64>(bytes).unwrap_err();
+        // Truncated payload, truncated header, trailing garbage.
+        assert_eq!(
+            err(&good[..good.len() - 1]),
+            BcagError::Protocol("wire message length mismatch")
+        );
+        assert_eq!(
+            err(&good[..7]),
+            BcagError::Protocol("truncated wire header")
+        );
+        let mut long = good.clone();
+        long.push(0);
+        assert!(matches!(err(&long), BcagError::Protocol(_)));
+        // A sender of a different element width.
+        assert_eq!(
+            decode::<i32>(&good).unwrap_err(),
+            BcagError::Protocol("wire element width mismatch")
+        );
+        // Header counts whose byte total overflows are rejected up front.
+        let mut huge = good;
+        huge[..8].copy_from_slice(&[0xff; 8]);
+        assert!(matches!(err(&huge), BcagError::Protocol(_)));
     }
 }

@@ -1,14 +1,11 @@
 //! The plan compiler: fuse a whole statement's schedule + pack + compute
-//! into one specialized per-node epoch.
+//! into one specialized per-node epoch — the only code that moves array
+//! data.
 //!
-//! The interpreted statement path ([`crate::statement::assign_expr`])
-//! pays per-statement orchestration every epoch: one full schedule
-//! execution — pool dispatch, whole-array staging clone, per-run shape
-//! dispatch — *per operand*, plus a final compute dispatch. The paper's
-//! point is that all of that structure is computable ahead of execution:
-//! the access sequence, the communication sets, and the contiguity
-//! classes are pure functions of `(p, k, section)` parameters, never of
-//! array contents.
+//! The paper's point is that the access sequence, the communication sets,
+//! and the contiguity classes of a statement are pure functions of
+//! `(p, k, section)` parameters, never of array contents, so all of that
+//! structure is computable ahead of execution.
 //!
 //! This module compiles a statement shape once into a [`FusedStatement`]:
 //! a per-node program whose every step — same-node move, gather, scatter,
@@ -17,48 +14,57 @@
 //! [`ShapeClass`] ([`bcag_core::lower`]). The literal gap constant-folds
 //! through the [`PackValue`] primitives, so the executed epoch contains
 //! no per-run `match`, no per-statement schedule walk, and exactly **one
-//! pool dispatch** for the whole statement: each node applies
-//! self-transfers into arena-recycled staging snapshots, packs and sends
-//! its outgoing traffic, drains a counted inbox, then runs the
-//! owner-computes loop — pack→send→recv→unpack→apply as one fused
-//! function. Because the compiler sees every operand at once, it also
-//! **coalesces messages by destination**: all logical (operand, peer)
-//! messages of the statement merge into one physical message per peer
-//! per epoch — an optimization the interpreted path structurally cannot
-//! perform, since it exchanges operand by operand in separate epochs.
-//! Trace counters are still charged per logical message at canonical
-//! wire size, so deterministic totals keep parity.
+//! pool dispatch** for the whole statement. Because the compiler sees
+//! every operand at once, it also **coalesces messages by destination**:
+//! all logical (operand, peer) messages of the statement merge into one
+//! physical message per peer per epoch. Trace counters are still charged
+//! per logical message at canonical wire size, so deterministic totals
+//! equal the schedule's closed forms (`total_elements`,
+//! `nonlocal_elements`, `nonempty_nonlocal_pairs`, `wire_size`).
+//!
+//! One compiled program runs three ways, sharing one implementation of
+//! each per-node phase — stage, pack/send, drain/scatter, apply:
+//!
+//! * **Expression epoch** ([`FusedStatement::execute`]) —
+//!   `A(sec_a) = f(B₀(sec₀), …)`: each node snapshots its pre-statement
+//!   LHS image once per operand (which gives self-assignment its
+//!   snapshot semantics), lands self-moves and inbound scatters in the
+//!   snapshots, then applies `f` over its LHS segments.
+//! * **Copy epoch** ([`assign_copy_on`]) — `A(sec_a) = B(sec_b)`:
+//!   the one-operand program with self-moves and inbound scatters
+//!   writing straight into the LHS image; no snapshot, no apply.
+//!   Redistribution, [`crate::statement::assign_array`] and the shift
+//!   intrinsics run this way.
+//! * **Replicated run** — inside a `bcag spmd` node process, which holds
+//!   every node's local image: the process sends its own row as real
+//!   bytes over the session pipes, delivers every other `(src, dst)`
+//!   block in process (the compiler gives sender and receiver identical
+//!   split points), receives its own inbound blocks from the pipes and
+//!   applies for every node. Only its own row is counted, so merged
+//!   per-process traces equal in-process ones, and malformed inbound
+//!   frames are [`BcagError::Protocol`] errors.
 //!
 //! Programs are cached in the sharded plan cache ([`crate::cache::fused`])
 //! next to the schedules they were compiled from, so single-flight builds
-//! and LRU eviction cover them for free. The fused path is selected by
-//! [`default_fused`] (`BCAG_FUSE=on|off`, default on) and keeps **bit-exact
-//! parity** with the interpreted path: staging snapshots reproduce the
-//! interpreted `tmp = a.clone()` semantics node-locally, traversal order
-//! equals [`RunPlan::for_each_segment`] order, and every deterministic
-//! trace counter total (`elements_moved`, `messages_sent`,
-//! `transport_bytes_tx/_rx`, `runs_coalesced`, …) matches the interpreted
-//! path's by construction.
+//! and LRU eviction cover them for free. Traversal order equals
+//! [`RunPlan::for_each_segment`] order.
 //!
 //! Under [`bcag_core::tune::TuneMode::Auto`] (the default) epochs whose
 //! working set spills L2 are **blocked**: [`epoch_block_elems`] derives
 //! an L2-resident chunk size, physical messages split into ≤-block-sized
 //! payloads at compile time (sender and receiver derive identical split
 //! points from the same schedule, so no wire metadata is added), and
-//! communication-free epochs stage → move → apply one L2-sized address
-//! range at a time instead of snapshotting the whole local image. The
-//! block size is part of the fused cache key, so `BCAG_TUNE` A/B flips
-//! never reuse programs compiled for the other regime.
-//!
-//! Inside a `bcag spmd` node process the fused path is not used — the
-//! multi-process executor has its own shadow-application protocol — so
-//! [`crate::statement::assign_expr`] falls back to the interpreted path
-//! whenever a proc session is active.
+//! communication-free expression epochs stage → move → apply one
+//! L2-sized address range at a time instead of snapshotting the whole
+//! local image. The block size is part of the fused cache key, so
+//! `BCAG_TUNE` A/B flips never reuse programs compiled for the other
+//! regime.
 //!
 //! [`RunPlan::for_each_segment`]: bcag_core::runs::RunPlan::for_each_segment
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use bcag_core::error::{BcagError, Result};
 use bcag_core::lower::{lower_plan, ShapeClass};
@@ -71,60 +77,28 @@ use crate::comm::wire::{self, PackValue};
 use crate::comm::ExecMode;
 use crate::darray::DistArray;
 use crate::pack::{self, PackMode};
-use crate::pool::{self, lock_clean, LaunchMode};
+use crate::pool::{self, lock_clean, BufferArena, LaunchMode, NodeCtx};
 use crate::transport::{self, TransportKind};
 
-/// Whether [`crate::statement::assign_expr`] routes statements through
-/// the fused plan compiler or the interpreted per-operand path — the A/B
-/// switch of the fusion work, in the spirit of [`LaunchMode`].
+/// The statement executor. Fused epochs are the only one, so this has a
+/// single variant; it survives because benchmark reports still record
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FusedMode {
-    /// Compile and run fused per-node epochs (the default).
+    /// Compile and run fused per-node epochs.
     On,
-    /// Interpret the statement operand by operand (the historical path).
-    Off,
 }
 
 impl FusedMode {
-    /// Short human-readable name (used by benches and the flight
-    /// recorder).
+    /// Short human-readable name (used by benchmark reports).
     pub fn name(&self) -> &'static str {
-        match self {
-            FusedMode::On => "fused",
-            FusedMode::Off => "interp",
-        }
+        "fused"
     }
 }
 
-/// 0 = unset (read the env var on first use), 1 = On, 2 = Off.
-static DEFAULT_FUSED: AtomicU8 = AtomicU8::new(0);
-
-/// The process-default [`FusedMode`]. First use reads `BCAG_FUSE`
-/// (`off`/`0` disable fusion, anything else — including unset — keeps it
-/// on); later uses return the cached choice.
+/// The process's statement executor (always [`FusedMode::On`]).
 pub fn default_fused() -> FusedMode {
-    match DEFAULT_FUSED.load(Ordering::Relaxed) {
-        1 => FusedMode::On,
-        2 => FusedMode::Off,
-        _ => {
-            let mode = match std::env::var("BCAG_FUSE") {
-                Ok(v) if v.trim().eq_ignore_ascii_case("off") || v.trim() == "0" => FusedMode::Off,
-                _ => FusedMode::On,
-            };
-            set_default_fused(mode);
-            mode
-        }
-    }
-}
-
-/// Overrides the process-default [`FusedMode`] (benches and differential
-/// tests flip this around [`crate::statement::assign_expr`] calls).
-pub fn set_default_fused(mode: FusedMode) {
-    let v = match mode {
-        FusedMode::On => 1,
-        FusedMode::Off => 2,
-    };
-    DEFAULT_FUSED.store(v, Ordering::Relaxed);
+    FusedMode::On
 }
 
 /// 0 = no fused epoch ran yet, 1 = last epoch was unblocked, 2 = last
@@ -354,12 +328,11 @@ struct SendBlock<T> {
 
 /// The outgoing traffic from this node to `dst`: every operand's
 /// transfers, packed back to back in operand order, split into
-/// L2-blocked physical messages. The interpreted path exchanges operand
-/// by operand in separate epochs; the fused compiler sees the whole
-/// statement, so it merges them — one message (per block) per peer per
+/// L2-blocked physical messages — one message (per block) per peer per
 /// epoch. `charges` keeps one canonical wire size per *logical*
-/// (operand, destination) message so trace totals still match the
-/// interpreted path; they are emitted once per peer, on the first block.
+/// (operand, destination) message so trace totals equal the per-operand
+/// schedules' closed forms; they are emitted once per peer, on the first
+/// block.
 struct SendPlan<T> {
     dst: usize,
     charges: Vec<u64>,
@@ -384,8 +357,9 @@ struct ScatterStep<T> {
 /// per-logical-message `charges` are compiled here and the wire carries
 /// only values. `blocks[i]` scatters the `i`-th physical message from
 /// `src`; each step's `off` is relative to that block's payload.
-/// Per-producer FIFO on every in-process transport (one mpsc channel,
-/// one SPSC ring per directed pair) keeps block order deterministic.
+/// Per-producer FIFO on every transport (one mpsc channel or SPSC ring
+/// per directed pair in process, the router's per-source order across
+/// processes) keeps block order deterministic.
 struct RecvPlan<T> {
     src: usize,
     charges: Vec<u64>,
@@ -418,8 +392,8 @@ struct LocalBlock<T> {
 
 /// The compiled epoch of one node: every data-movement and compute step
 /// of the whole statement, kernel-bound, plus the precomputed trace
-/// counter totals the epoch charges (identical to the interpreted
-/// path's per-operand emissions, summed).
+/// counter totals the epoch charges (the per-operand schedules' own-row
+/// totals, summed).
 struct NodeProgram<T> {
     /// Same-node transfer runs, per operand.
     self_moves: Vec<Vec<MoveStep<T>>>,
@@ -431,9 +405,9 @@ struct NodeProgram<T> {
     apply: Vec<ApplyStep<T>>,
     /// L2-blocked ranges for communication-free epochs (empty when the
     /// node communicates or the program is unblocked); when non-empty,
-    /// `execute` runs these instead of `self_moves` + `apply`, which are
-    /// still compiled so [`FusedStatement::census`] stays
-    /// blocking-independent.
+    /// the expression epoch runs these instead of `self_moves` + `apply`,
+    /// which are still compiled for the copy and replicated runs and so
+    /// [`FusedStatement::census`] stays blocking-independent.
     local_blocks: Vec<LocalBlock<T>>,
     /// Total outgoing transfers (all destinations, self included).
     moved: u64,
@@ -447,15 +421,8 @@ struct NodeProgram<T> {
     seg_elems: u64,
 }
 
-/// In-memory fused message: the receiver routes by source node — the
-/// payload layout is already compiled into its [`RecvPlan`].
-struct FusedMsg<T> {
-    src: u32,
-    vals: Vec<T>,
-}
-
 /// Bytes of the source-node routing tag appended to wire-encoded fused
-/// messages.
+/// message blocks (see [`encode_block`]).
 const WIRE_TAG_BYTES: usize = 4;
 
 /// A whole statement `A(sec_a) = f(B₀(sec₀), …)` compiled to per-node
@@ -491,9 +458,9 @@ pub struct FuseCensus {
 
 impl<T: PackValue> FusedStatement<T> {
     /// Structural totals of the compiled program. `sends`/`recvs` count
-    /// *logical* (operand, peer) messages — the interpreted path's unit —
-    /// even though the fused epoch coalesces them into one physical
-    /// message per peer.
+    /// *logical* (operand, peer) messages — the schedules' unit — even
+    /// though the fused epoch coalesces them into one physical message
+    /// per peer.
     pub fn census(&self) -> FuseCensus {
         let mut c = FuseCensus::default();
         for n in &self.nodes {
@@ -507,10 +474,13 @@ impl<T: PackValue> FusedStatement<T> {
         c
     }
 
-    /// Runs the fused epoch: one pool dispatch executes pack → send →
-    /// recv → unpack → apply for the whole statement. `operands` must be
-    /// the arrays the program was compiled for, in compile order (same
-    /// `p`, `k`, and sections); contents are free to vary.
+    /// Runs the expression epoch: one pool dispatch executes stage →
+    /// pack/send → drain/scatter → apply for the whole statement.
+    /// `operands` must be the arrays the program was compiled for, in
+    /// compile order (same `p`, `k`, and sections); contents are free to
+    /// vary. Inside a multi-process session use the statement entry
+    /// points ([`assign_fused_on`], [`crate::statement::assign_expr`]),
+    /// which run the replicated form instead.
     pub fn execute<F>(
         &self,
         a: &mut DistArray<T>,
@@ -521,204 +491,432 @@ impl<T: PackValue> FusedStatement<T> {
     ) where
         F: Fn(&[T]) -> T + Sync,
     {
+        self.epoch(a, operands, Some(&f), launch, kind);
+    }
+
+    /// Runs the copy epoch `A(sec_a) = B(sec_b)` of a one-operand
+    /// program: self-moves and inbound scatters write straight into the
+    /// LHS image — no staging snapshot, no apply phase.
+    pub(crate) fn copy(
+        &self,
+        a: &mut DistArray<T>,
+        b: &DistArray<T>,
+        launch: LaunchMode,
+        kind: TransportKind,
+    ) {
+        assert!(
+            self.nodes.iter().all(|n| n.self_moves.len() == 1),
+            "a copy runs a one-operand program"
+        );
+        self.epoch(a, &[b], None, launch, kind);
+    }
+
+    /// Epoch-level bookkeeping: the flight recorder's pack-mode and
+    /// blocking notes and, when `counted`, the once-per-statement
+    /// counters.
+    fn note_epoch(&self, counted: bool) {
+        pack::note_pack_mode(PackMode::Runs);
+        note_blocked(self.blocked);
+        if counted {
+            bcag_trace::count("fused_epochs", 1);
+            if self.blocked && bcag_trace::enabled() {
+                bcag_trace::count("tune_decision_blocked", 1);
+            }
+        }
+    }
+
+    /// The pool epoch behind [`FusedStatement::execute`] (`f` is `Some`)
+    /// and [`FusedStatement::copy`] (`f` is `None`).
+    fn epoch(
+        &self,
+        a: &mut DistArray<T>,
+        operands: &[&DistArray<T>],
+        f: Option<&Apply<'_, T>>,
+        launch: LaunchMode,
+        kind: TransportKind,
+    ) {
         assert_eq!(a.p(), self.p, "LHS machine size mismatch");
         let _sp = bcag_trace::span("fuse.execute");
         let _t = bcag_trace::timed_span("fuse_execute_ns");
         bcag_trace::set_tag("transport", kind.name());
-        bcag_trace::count("fused_epochs", 1);
-        // Fused epochs pack coalesced runs; note mode and blocking for
-        // the flight recorder and the tuning counters.
-        pack::note_pack_mode(PackMode::Runs);
-        note_blocked(self.blocked);
-        if self.blocked && bcag_trace::enabled() {
-            bcag_trace::count("tune_decision_blocked", 1);
-        }
-        let nops = operands.len();
+        self.note_epoch(true);
         let slots: Vec<Mutex<&mut Vec<T>>> = a.locals_mut().iter_mut().map(Mutex::new).collect();
         pool::launch_with(self.p, launch, kind, |me, ctx| {
             let _sp = bcag_trace::span("fuse.epoch.node");
-            let prog = &self.nodes[me];
-            let use_wire = ctx.serializes() && T::WIRE_BYTES.is_some();
             let mut slot = lock_clean(&slots[me]);
-            let local_a: &mut Vec<T> = &mut slot;
-            // Blocked communication-free epoch: stage → move → apply one
-            // L2-sized address range at a time. The folded counter
-            // emissions are identical to the unblocked epoch's.
-            if !prog.local_blocks.is_empty() {
-                bcag_trace::count("elements_moved", prog.moved);
-                bcag_trace::count("bytes_packed", prog.moved * std::mem::size_of::<T>() as u64);
-                bcag_core::runs::count_coalesced(prog.seg_count, prog.seg_elems);
-                bcag_trace::count("recv_wait_ns", 0);
-                let fref: &dyn Fn(&[T]) -> T = &f;
-                let mut args: Vec<T> = Vec::with_capacity(nops);
-                for blk in &prog.local_blocks {
-                    let mut stagings: Vec<Vec<T>> = Vec::with_capacity(nops);
-                    for (op, b) in operands.iter().enumerate() {
-                        let local_b = b.local(me as i64);
-                        let mut st: Vec<T> = ctx.take_buf();
-                        st.extend_from_slice(&local_a[blk.lo..blk.hi]);
-                        for mv in &blk.moves[op] {
-                            (mv.kernel)(&mut st, local_b, mv.dst, mv.dgap, mv.src, mv.sgap, mv.len);
-                        }
-                        stagings.push(st);
-                    }
-                    let window = &mut local_a[blk.lo..blk.hi];
-                    for step in &blk.apply {
-                        (step.kernel)(
-                            window, &stagings, &mut args, fref, step.addr, step.gap, step.len,
-                        );
-                    }
-                    for st in stagings {
-                        ctx.put_buf(st);
-                    }
-                }
-                return;
-            }
-            // Stage phase. Each operand's staging buffer is a snapshot
-            // of this node's pre-statement LHS memory (the node-local
-            // equivalent of the interpreted path's whole-array
-            // `tmp = a.clone()`), then self-transfers land in it directly
-            // and inbound messages scatter into it below. `local_a` is
-            // not written until the apply phase, so every snapshot is
-            // taken from clean pre-statement state.
-            let mut stagings: Vec<Vec<T>> = Vec::with_capacity(nops);
-            for (op, b) in operands.iter().enumerate() {
-                let local_b = b.local(me as i64);
-                let mut st: Vec<T> = ctx.take_buf();
-                st.extend_from_slice(local_a);
-                for mv in &prog.self_moves[op] {
-                    (mv.kernel)(&mut st, local_b, mv.dst, mv.dgap, mv.src, mv.sgap, mv.len);
-                }
-                stagings.push(st);
-            }
-            // Send phase: one physical message per destination per
-            // block, every operand's traffic packed back to back in
-            // operand order (the receiver's plan was compiled to the
-            // same layout and the same block boundaries).
-            for send in &prog.sends {
-                for (bi, blk) in send.blocks.iter().enumerate() {
-                    let mut vals: Vec<T> = ctx.take_buf();
-                    vals.reserve(blk.elements);
-                    for g in &blk.gathers {
-                        let local_b = operands[g.op].local(me as i64);
-                        (g.kernel)(&mut vals, local_b, g.addr, g.gap, g.len);
-                    }
-                    if bi == 0 && bcag_trace::enabled() {
-                        // Charged per *logical* (operand, destination)
-                        // message at the canonical run-encoded size (span
-                        // headers included even though fused messages
-                        // carry no spans), once per peer on the first
-                        // block, so counts and totals match the
-                        // interpreted path on every backend.
-                        for &tx in &send.charges {
-                            bcag_trace::count("transport_bytes_tx", tx);
-                            bcag_trace::record("msg_bytes", tx);
-                            bcag_trace::record(
-                                bcag_trace::intern(&format!("msg_bytes_to_{}", send.dst)),
-                                tx,
-                            );
-                        }
-                    }
-                    if use_wire {
-                        let mut bytes = wire::encode::<T>(&[], &vals);
-                        bytes.extend_from_slice(&(me as u32).to_le_bytes());
-                        ctx.send(send.dst, Box::new(bytes));
-                        ctx.put_buf(vals);
-                    } else {
-                        ctx.send(
-                            send.dst,
-                            Box::new(FusedMsg {
-                                src: me as u32,
-                                vals,
-                            }),
-                        );
-                    }
-                }
-            }
-            // Counter totals were folded at compile time: one emission
-            // per epoch instead of one per (operand, destination), with
-            // identical totals.
-            bcag_trace::count("elements_moved", prog.moved);
-            bcag_trace::count("bytes_packed", prog.moved * std::mem::size_of::<T>() as u64);
-            if prog.msgs > 0 {
-                bcag_trace::count("messages_sent", prog.msgs);
-                bcag_trace::count("elements_nonlocal", prog.nonlocal);
-            }
-            bcag_core::runs::count_coalesced(prog.seg_count, prog.seg_elems);
-            // Receive phase: the counted inbox drain of the batched
-            // executor, routed by the source tag since inbound order
-            // across sources is nondeterministic. Blocks from one source
-            // arrive in send order (per-producer FIFO), so a per-source
-            // cursor selects the scatter plan for each inbound message.
-            let mut wait_ns = 0u64;
-            let mut next_blk = vec![0usize; prog.recvs.len()];
-            let total_blocks: usize = prog.recvs.iter().map(|r| r.blocks.len()).sum();
-            for _ in 0..total_blocks {
-                let t0 = bcag_trace::enabled().then(std::time::Instant::now);
-                let env = ctx.recv();
-                if let Some(t0) = t0 {
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    wait_ns += ns;
-                    bcag_trace::record("recv_wait_ns", ns);
-                }
-                let (src, vals) = if use_wire {
-                    let mut bytes = *env
-                        .downcast::<Vec<u8>>()
-                        .expect("fused wire message payload type");
-                    let tag_at = bytes.len() - WIRE_TAG_BYTES;
-                    let src =
-                        u32::from_le_bytes(bytes[tag_at..].try_into().expect("4 bytes")) as usize;
-                    bytes.truncate(tag_at);
-                    let mut spans: Vec<wire::RunSpan> = ctx.take_buf();
-                    let mut vals: Vec<T> = ctx.take_buf();
-                    wire::decode_into(&bytes, &mut spans, &mut vals);
-                    ctx.put_buf(spans);
-                    (src, vals)
-                } else {
-                    let msg = *env
-                        .downcast::<FusedMsg<T>>()
-                        .expect("fused message payload type");
-                    (msg.src as usize, msg.vals)
-                };
-                let pi = prog
+            let ops: Vec<&[T]> = operands.iter().map(|b| b.local(me as i64)).collect();
+            self.nodes[me].run_epoch(me, ctx, &mut slot, &ops, f);
+        });
+    }
+
+    /// The replicated run of a multi-process session: this process is
+    /// node `session.me()`, but holds — and keeps current — every node's
+    /// local image of `a`. Its own row really travels the session pipes;
+    /// every other `(src, dst)` block is delivered in process with
+    /// `nodes[src]`'s send block and `nodes[dst]`'s matching receive
+    /// block, whose split points the compiler made identical. Only the
+    /// own row is counted (and the once-per-statement counters only on
+    /// node 0), so merged per-process traces equal an in-process run's.
+    fn replicated(
+        &self,
+        a: &mut DistArray<T>,
+        operands: &[&DistArray<T>],
+        f: Option<&Apply<'_, T>>,
+        session: &transport::proc::Session,
+    ) -> Result<()> {
+        if T::WIRE_BYTES.is_none() {
+            return Err(BcagError::Precondition(
+                "multi-process execution requires a fixed-width wire payload type",
+            ));
+        }
+        let p = self.p as usize;
+        if session.p() != p {
+            return Err(BcagError::Precondition(
+                "spmd session size differs from the statement's machine",
+            ));
+        }
+        let me = session.me();
+        let _sp = bcag_trace::span("fuse.execute");
+        let _t = bcag_trace::timed_span("fuse_execute_ns");
+        bcag_trace::set_tag("transport", TransportKind::Proc.name());
+        self.note_epoch(me == 0);
+        let _node = bcag_trace::span("fuse.epoch.node");
+        let copy = f.is_none();
+        let ops_of =
+            |n: usize| -> Vec<&[T]> { operands.iter().map(|b| b.local(n as i64)).collect() };
+        let mut arena = BufferArena::default();
+        let locals = a.locals_mut();
+        let mut stagings: Vec<Vec<Vec<T>>> = locals
+            .iter_mut()
+            .enumerate()
+            .map(|(n, local)| self.nodes[n].stage(local, &ops_of(n), copy, &mut arena))
+            .collect();
+        self.nodes[me].count_row();
+        // Own row first, so peers blocked on it progress, then every
+        // other row; inbound blocks of this node arrive from the pipes.
+        let mut vals: Vec<T> = Vec::new();
+        for src in std::iter::once(me).chain((0..p).filter(|&n| n != me)) {
+            let ops = ops_of(src);
+            for send in self.nodes[src].sends.iter().filter(|s| s.dst != me) {
+                let plan = self.nodes[send.dst]
                     .recvs
                     .iter()
-                    .position(|r| r.src == src)
-                    .expect("inbound message matches a compiled recv plan");
-                let plan = &prog.recvs[pi];
-                let bi = next_blk[pi];
-                next_blk[pi] += 1;
-                if bi == 0 {
-                    for &rx in &plan.charges {
-                        bcag_trace::count("transport_bytes_rx", rx);
+                    .find(|r| r.src == src)
+                    .expect("every compiled send has a matching receive");
+                for (bi, blk) in send.blocks.iter().enumerate() {
+                    vals.clear();
+                    blk.gather(&ops, &mut vals);
+                    if src == me {
+                        if bi == 0 {
+                            send.charge();
+                        }
+                        session.send_data(send.dst, encode_block(me, &vals));
                     }
+                    let targets = targets(&mut stagings[send.dst], &mut locals[send.dst], copy);
+                    scatter(&plan.blocks[bi], &vals, targets);
                 }
-                for sc in &plan.blocks[bi] {
-                    (sc.kernel)(
-                        &mut stagings[sc.op],
-                        sc.addr,
-                        sc.gap,
-                        &vals[sc.off..sc.off + sc.len],
-                    );
-                }
-                ctx.put_buf(vals);
             }
-            bcag_trace::count("recv_wait_ns", wait_ns);
-            // Apply phase: the owner-computes loop over kernel-bound LHS
-            // segments, reading all stagings in operand order — the same
-            // addresses, in the same order, with the same argument
-            // values as the interpreted compute phase.
-            let fref: &dyn Fn(&[T]) -> T = &f;
-            let mut args: Vec<T> = Vec::with_capacity(nops);
-            for step in &prog.apply {
-                (step.kernel)(
-                    local_a, &stagings, &mut args, fref, step.addr, step.gap, step.len,
+        }
+        let mut wait_ns = 0u64;
+        for plan in &self.nodes[me].recvs {
+            for (bi, steps) in plan.blocks.iter().enumerate() {
+                let bytes = timed_recv(&mut wait_ns, || session.recv_from(plan.src))?;
+                if bi == 0 {
+                    plan.charge();
+                }
+                vals.clear();
+                if decode_block(&bytes, &mut vals)? != plan.src {
+                    return Err(BcagError::Protocol(
+                        "fused block source tag disagrees with its frame",
+                    ));
+                }
+                if vals.len() != block_len(steps) {
+                    return Err(BcagError::Protocol(
+                        "fused block size disagrees with its compiled plan",
+                    ));
+                }
+                scatter(
+                    steps,
+                    &vals,
+                    targets(&mut stagings[me], &mut locals[me], copy),
                 );
             }
-            for st in stagings {
-                ctx.put_buf(st);
+        }
+        bcag_trace::count("recv_wait_ns", wait_ns);
+        if let Some(f) = f {
+            for ((prog, local), st) in self.nodes.iter().zip(locals.iter_mut()).zip(&stagings) {
+                apply_steps(local, st, &prog.apply, f);
             }
-        });
+        }
+        Ok(())
+    }
+}
+
+/// The elementwise body of an expression run, shared by every node job.
+type Apply<'f, T> = dyn Fn(&[T]) -> T + Sync + 'f;
+
+/// Where inbound payloads land: the per-operand staging snapshots of an
+/// expression run, or — in a copy run, which has one operand and no
+/// snapshot — the LHS image itself.
+fn targets<'a, T>(
+    stagings: &'a mut [Vec<T>],
+    local_a: &'a mut Vec<T>,
+    copy: bool,
+) -> &'a mut [Vec<T>] {
+    if copy {
+        std::slice::from_mut(local_a)
+    } else {
+        stagings
+    }
+}
+
+/// Runs one blocking receive, charging its wait to `wait_ns` and to the
+/// `recv_wait_ns` histogram (one sample per received block).
+fn timed_recv<R>(wait_ns: &mut u64, recv: impl FnOnce() -> R) -> R {
+    let t0 = bcag_trace::enabled().then(Instant::now);
+    let got = recv();
+    if let Some(t0) = t0 {
+        let ns = t0.elapsed().as_nanos() as u64;
+        *wait_ns += ns;
+        bcag_trace::record("recv_wait_ns", ns);
+    }
+    got
+}
+
+/// Applies same-node transfer runs from `src` into `dst`.
+fn run_moves<T>(dst: &mut [T], src: &[T], moves: &[MoveStep<T>]) {
+    for mv in moves {
+        (mv.kernel)(dst, src, mv.dst, mv.dgap, mv.src, mv.sgap, mv.len);
+    }
+}
+
+/// Stage phase of an expression run: one snapshot of `image` per
+/// operand, with that operand's same-node moves landed in it.
+fn snapshot<T: PackValue>(
+    image: &[T],
+    ops: &[&[T]],
+    moves: &[Vec<MoveStep<T>>],
+    arena: &mut BufferArena,
+) -> Vec<Vec<T>> {
+    ops.iter()
+        .zip(moves)
+        .map(|(b, moves)| {
+            let mut st: Vec<T> = arena.take();
+            st.extend_from_slice(image);
+            run_moves(&mut st, b, moves);
+            st
+        })
+        .collect()
+}
+
+/// Scatter phase: lands one inbound block's payload in `targets[op]`.
+fn scatter<T>(steps: &[ScatterStep<T>], vals: &[T], targets: &mut [Vec<T>]) {
+    for sc in steps {
+        (sc.kernel)(
+            &mut targets[sc.op],
+            sc.addr,
+            sc.gap,
+            &vals[sc.off..sc.off + sc.len],
+        );
+    }
+}
+
+/// Elements the sender's matching block carries.
+fn block_len<T>(steps: &[ScatterStep<T>]) -> usize {
+    steps.last().map_or(0, |s| s.off + s.len)
+}
+
+/// Apply phase: the owner-computes loop over kernel-bound LHS segments,
+/// reading all stagings in operand order.
+fn apply_steps<T>(local: &mut [T], stagings: &[Vec<T>], steps: &[ApplyStep<T>], f: &Apply<'_, T>) {
+    let mut args: Vec<T> = Vec::with_capacity(stagings.len());
+    for step in steps {
+        (step.kernel)(local, stagings, &mut args, f, step.addr, step.gap, step.len);
+    }
+}
+
+/// Wire form of one fused message block: the run-encoded payload with
+/// no spans (the receiver's compiled plan carries the layout), then the
+/// sender's node index, which routes the block on fabrics whose
+/// envelopes do not say where they came from.
+fn encode_block<T: PackValue>(src: usize, vals: &[T]) -> Vec<u8> {
+    let mut bytes = wire::encode::<T>(&[], vals);
+    bytes.extend_from_slice(&(src as u32).to_le_bytes());
+    bytes
+}
+
+/// Decodes a block produced by [`encode_block`] into `vals` and returns
+/// its source tag; malformed bytes are [`BcagError::Protocol`] errors.
+fn decode_block<T: PackValue>(bytes: &[u8], vals: &mut Vec<T>) -> Result<usize> {
+    let Some(tag_at) = bytes.len().checked_sub(WIRE_TAG_BYTES) else {
+        return Err(BcagError::Protocol("fused block has no source tag"));
+    };
+    let mut spans = Vec::new();
+    wire::decode_into(&bytes[..tag_at], &mut spans, vals)?;
+    if !spans.is_empty() {
+        return Err(BcagError::Protocol("fused block carries run spans"));
+    }
+    let mut tag = [0u8; WIRE_TAG_BYTES];
+    tag.copy_from_slice(&bytes[tag_at..]);
+    Ok(u32::from_le_bytes(tag) as usize)
+}
+
+impl<T: PackValue> SendBlock<T> {
+    /// Pack phase: gathers this block's payload from the sending node's
+    /// operand images.
+    fn gather(&self, ops: &[&[T]], out: &mut Vec<T>) {
+        out.reserve(self.elements);
+        for g in &self.gathers {
+            (g.kernel)(out, ops[g.op], g.addr, g.gap, g.len);
+        }
+    }
+}
+
+impl<T: PackValue> SendPlan<T> {
+    /// Charges the peer's logical messages at the canonical run-encoded
+    /// size (span headers included even though fused blocks carry no
+    /// spans), once per peer, so counts and totals are the schedules'
+    /// on every backend.
+    fn charge(&self) {
+        if !bcag_trace::enabled() {
+            return;
+        }
+        for &tx in &self.charges {
+            bcag_trace::count("transport_bytes_tx", tx);
+            bcag_trace::record("msg_bytes", tx);
+            bcag_trace::record(
+                bcag_trace::intern(&format!("msg_bytes_to_{}", self.dst)),
+                tx,
+            );
+        }
+    }
+}
+
+impl<T: PackValue> RecvPlan<T> {
+    /// Receive-side twin of [`SendPlan::charge`].
+    fn charge(&self) {
+        for &rx in &self.charges {
+            bcag_trace::count("transport_bytes_rx", rx);
+        }
+    }
+}
+
+impl<T: PackValue> NodeProgram<T> {
+    /// Emits this node's folded movement counters: one emission per
+    /// epoch instead of one per (operand, destination), same totals.
+    fn count_row(&self) {
+        bcag_trace::count("elements_moved", self.moved);
+        bcag_trace::count("bytes_packed", self.moved * std::mem::size_of::<T>() as u64);
+        if self.msgs > 0 {
+            bcag_trace::count("messages_sent", self.msgs);
+            bcag_trace::count("elements_nonlocal", self.nonlocal);
+        }
+        bcag_core::runs::count_coalesced(self.seg_count, self.seg_elems);
+    }
+
+    /// Stage phase: per-operand snapshots of the pre-statement LHS image
+    /// for an expression run; for a copy run, same-node moves straight
+    /// into the image (and no snapshots).
+    fn stage(
+        &self,
+        local_a: &mut [T],
+        ops: &[&[T]],
+        copy: bool,
+        arena: &mut BufferArena,
+    ) -> Vec<Vec<T>> {
+        if copy {
+            run_moves(local_a, ops[0], &self.self_moves[0]);
+            return Vec::new();
+        }
+        snapshot(local_a, ops, &self.self_moves, arena)
+    }
+
+    /// One node's pool epoch: stage, pack/send, drain/scatter, apply —
+    /// or, for a blocked communication-free expression, the same phases
+    /// one L2-sized address range at a time.
+    fn run_epoch(
+        &self,
+        me: usize,
+        ctx: &mut NodeCtx,
+        local_a: &mut Vec<T>,
+        ops: &[&[T]],
+        f: Option<&Apply<'_, T>>,
+    ) {
+        self.count_row();
+        if let (Some(f), false) = (f, self.local_blocks.is_empty()) {
+            bcag_trace::count("recv_wait_ns", 0);
+            for blk in &self.local_blocks {
+                let stagings = snapshot(&local_a[blk.lo..blk.hi], ops, &blk.moves, ctx.arena());
+                apply_steps(&mut local_a[blk.lo..blk.hi], &stagings, &blk.apply, f);
+                stagings.into_iter().for_each(|st| ctx.put_buf(st));
+            }
+            return;
+        }
+        let copy = f.is_none();
+        let use_wire = ctx.serializes() && T::WIRE_BYTES.is_some();
+        let mut stagings = self.stage(local_a, ops, copy, ctx.arena());
+        for send in &self.sends {
+            for (bi, blk) in send.blocks.iter().enumerate() {
+                let mut vals: Vec<T> = ctx.take_buf();
+                blk.gather(ops, &mut vals);
+                if bi == 0 {
+                    send.charge();
+                }
+                if use_wire {
+                    let bytes = encode_block(me, &vals);
+                    ctx.put_buf(vals);
+                    ctx.send(send.dst, Box::new(bytes));
+                } else {
+                    // In memory the source rides beside the values; the
+                    // layout is compiled into the receiver's plan.
+                    ctx.send(send.dst, Box::new((me, vals)));
+                }
+            }
+        }
+        // Drain phase: a counted inbox loop routed by source, since
+        // inbound order across sources is nondeterministic. Blocks from
+        // one source arrive in send order, so a per-source cursor
+        // selects each block's scatter plan.
+        let mut wait_ns = 0u64;
+        let mut next_blk = vec![0usize; self.recvs.len()];
+        let total_blocks: usize = self.recvs.iter().map(|r| r.blocks.len()).sum();
+        for _ in 0..total_blocks {
+            let env = timed_recv(&mut wait_ns, || ctx.recv());
+            let (src, vals) = if use_wire {
+                let bytes = env
+                    .downcast::<Vec<u8>>()
+                    .expect("fused wire message payload type");
+                let mut vals: Vec<T> = ctx.take_buf();
+                let src =
+                    decode_block(&bytes, &mut vals).unwrap_or_else(|e| panic!("fused epoch: {e}"));
+                (src, vals)
+            } else {
+                *env.downcast::<(usize, Vec<T>)>()
+                    .expect("fused message payload type")
+            };
+            let pi = self
+                .recvs
+                .iter()
+                .position(|r| r.src == src)
+                .expect("inbound message matches a compiled recv plan");
+            let plan = &self.recvs[pi];
+            let bi = next_blk[pi];
+            next_blk[pi] += 1;
+            if bi == 0 {
+                plan.charge();
+            }
+            scatter(
+                &plan.blocks[bi],
+                &vals,
+                targets(&mut stagings, local_a, copy),
+            );
+            ctx.put_buf(vals);
+        }
+        bcag_trace::count("recv_wait_ns", wait_ns);
+        if let Some(f) = f {
+            apply_steps(local_a, &stagings, &self.apply, f);
+        }
+        stagings.into_iter().for_each(|st| ctx.put_buf(st));
     }
 }
 
@@ -1090,34 +1288,11 @@ pub fn cached_program<T: PackValue>(
     })
 }
 
-/// Executes `A(sec_a) = f(operand values…)` through the fused plan
-/// compiler on the process-default launch mode and transport — the fused
-/// twin of [`crate::statement::assign_expr`], which routes here when
-/// [`default_fused`] is [`FusedMode::On`]. Callers must have validated
-/// the statement (ascending LHS section, conforming operands on one
-/// machine) as `assign_expr` does.
-pub fn assign_fused<T, F>(
-    a: &mut DistArray<T>,
-    sec_a: &RegularSection,
-    operands: &[(&DistArray<T>, RegularSection)],
-    f: F,
-) -> Result<()>
-where
-    T: PackValue,
-    F: Fn(&[T]) -> T + Sync,
-{
-    assign_fused_on(
-        a,
-        sec_a,
-        operands,
-        f,
-        pool::default_launch(),
-        transport::active_transport(),
-    )
-}
-
-/// [`assign_fused`] with an explicit launch mode and transport — the A/B
-/// entry point of the differential suite.
+/// Executes `A(sec_a) = f(operand values…)` through the cached fused
+/// program on an explicit launch mode and transport — the entry point
+/// behind [`crate::statement::assign_expr`]. Inside a multi-process
+/// session the replicated run replaces the pool epoch (whatever `launch`
+/// and `kind` say) and malformed peer frames surface as errors.
 pub fn assign_fused_on<T, F>(
     a: &mut DistArray<T>,
     sec_a: &RegularSection,
@@ -1130,36 +1305,69 @@ where
     T: PackValue,
     F: Fn(&[T]) -> T + Sync,
 {
-    if transport::proc::active().is_some() {
-        // The multi-process executor shadow-applies pairs across its
-        // replicated image; a fused epoch has no equivalent protocol.
-        // `assign_expr` routes proc sessions to the interpreted path.
+    run(a, sec_a, operands, Some(&f), launch, kind)
+}
+
+/// Executes the copy `A(sec_a) = B(sec_b)` through the copy run of the
+/// cached one-operand program (the program `assign_fused_on` with
+/// `|v| v[0]` would compile) — the entry point behind
+/// [`crate::statement::assign_array`] and redistribution.
+pub fn assign_copy_on<T: PackValue>(
+    a: &mut DistArray<T>,
+    sec_a: &RegularSection,
+    b: &DistArray<T>,
+    sec_b: &RegularSection,
+    launch: LaunchMode,
+    kind: TransportKind,
+) -> Result<()> {
+    run(a, sec_a, &[(b, *sec_b)], None, launch, kind)
+}
+
+/// Validates a statement, fetches its cached program and runs it: the
+/// replicated run inside a multi-process session, otherwise the pool
+/// epoch — an expression when `f` is given, a copy when it is not.
+fn run<T: PackValue>(
+    a: &mut DistArray<T>,
+    sec_a: &RegularSection,
+    operands: &[(&DistArray<T>, RegularSection)],
+    f: Option<&Apply<'_, T>>,
+    launch: LaunchMode,
+    kind: TransportKind,
+) -> Result<()> {
+    if sec_a.s <= 0 {
         return Err(BcagError::Precondition(
-            "fused epochs do not run inside a multi-process session",
+            "statements require an ascending LHS section; normalize first",
         ));
+    }
+    for (b, sec_b) in operands {
+        if b.p() != a.p() {
+            return Err(BcagError::Precondition("operands must share the machine"));
+        }
+        if sec_b.count() != sec_a.count() {
+            return Err(BcagError::Precondition("operand sections must conform"));
+        }
     }
     let ops: Vec<(i64, RegularSection)> = operands.iter().map(|(b, s)| (b.k(), *s)).collect();
     let block = epoch_block_elems::<T>(sec_a);
     let program = cached_program::<T>(a.p(), a.k(), sec_a, &ops, ExecMode::Batched, kind, block)?;
     let arrays: Vec<&DistArray<T>> = operands.iter().map(|(b, _)| *b).collect();
-    program.execute(a, &arrays, f, launch, kind);
+    if let Some(session) = transport::proc::active() {
+        return program.replicated(a, &arrays, f, &session);
+    }
+    match f {
+        Some(f) => program.epoch(a, &arrays, Some(f), launch, kind),
+        None => program.copy(a, arrays[0], launch, kind),
+    }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use bcag_harness::prop::{self, Config};
+    use bcag_harness::rng::Rng;
 
-    #[test]
-    fn mode_names_and_flip() {
-        assert_eq!(FusedMode::On.name(), "fused");
-        assert_eq!(FusedMode::Off.name(), "interp");
-        let before = default_fused();
-        set_default_fused(FusedMode::Off);
-        assert_eq!(default_fused(), FusedMode::Off);
-        set_default_fused(before);
-        assert_eq!(default_fused(), before);
-    }
+    use super::*;
+    use crate::transport::proc::{read_frame, session_reading as session_for, Frame, KIND_DATA};
 
     #[test]
     fn kernels_match_their_generic_forms() {
@@ -1198,103 +1406,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_statement_matches_interpreted_triad() {
-        let n = 400i64;
-        let alpha = 3.0f64;
-        let bg: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let cg: Vec<f64> = (0..n).map(|i| (i * i % 97) as f64).collect();
-        let b = DistArray::from_global(4, 5, &bg).unwrap();
-        let c = DistArray::from_global(4, 16, &cg).unwrap();
-        let sec_a = RegularSection::new(0, 357, 3).unwrap();
-        let sec_b = RegularSection::new(2, 240, 2).unwrap();
-        let sec_c = RegularSection::new(10, 129, 1).unwrap();
-
-        let mut fused = DistArray::new(4, 8, n, 0.0f64).unwrap();
-        assign_fused(&mut fused, &sec_a, &[(&b, sec_b), (&c, sec_c)], |args| {
-            args[0] * alpha + args[1]
-        })
-        .unwrap();
-
-        let got = fused.to_global();
-        for t in 0..120i64 {
-            let ia = (3 * t) as usize;
-            let ib = (2 + 2 * t) as usize;
-            let ic = (10 + t) as usize;
-            assert_eq!(got[ia], bg[ib] * alpha + cg[ic], "t={t}");
-        }
-        assert_eq!(got[1], 0.0);
-        assert_eq!(got[2], 0.0);
+    /// [`compile`] as the executor runs it (batched), on one transport.
+    fn compiled<T: PackValue>(
+        p: i64,
+        k_a: i64,
+        sec_a: &RegularSection,
+        ops: &[(i64, RegularSection)],
+        kind: TransportKind,
+        block: usize,
+    ) -> FusedStatement<T> {
+        compile::<T>(p, k_a, sec_a, ops, ExecMode::Batched, kind, block).unwrap()
     }
 
     #[test]
     fn compiled_programs_are_cached_and_shared() {
         // A shape unlike anything else in the suite, so the first call
         // is a genuine build.
-        let sec_a = RegularSection::new(1, 1171, 26).unwrap();
-        let sec_b = RegularSection::new(3, 1173, 26).unwrap();
-        let ops = vec![(9i64, sec_b)];
-        let first = cached_program::<i64>(
-            3,
-            11,
-            &sec_a,
-            &ops,
-            ExecMode::Batched,
-            TransportKind::Mpsc,
-            0,
-        )
-        .unwrap();
-        let second = cached_program::<i64>(
-            3,
-            11,
-            &sec_a,
-            &ops,
-            ExecMode::Batched,
-            TransportKind::Mpsc,
-            0,
-        )
-        .unwrap();
+        fn cached<T: PackValue>(block: usize) -> Arc<FusedStatement<T>> {
+            let sec_a = RegularSection::new(1, 1171, 26).unwrap();
+            let ops = [(9i64, RegularSection::new(3, 1173, 26).unwrap())];
+            let (batched, mpsc) = (ExecMode::Batched, TransportKind::Mpsc);
+            cached_program::<T>(3, 11, &sec_a, &ops, batched, mpsc, block).unwrap()
+        }
+        let first = cached::<i64>(0);
+        let second = cached::<i64>(0);
         assert!(Arc::ptr_eq(&first, &second));
         // A different element type is a distinct cache entry.
-        let other = cached_program::<f64>(
-            3,
-            11,
-            &sec_a,
-            &ops,
-            ExecMode::Batched,
-            TransportKind::Mpsc,
-            0,
-        )
-        .unwrap();
+        let other = cached::<f64>(0);
         assert!(other.census() == first.census());
         // A different block size is a distinct cache entry too: tune
         // A/B flips must never reuse the other regime's programs.
-        let chunked = cached_program::<i64>(
-            3,
-            11,
-            &sec_a,
-            &ops,
-            ExecMode::Batched,
-            TransportKind::Mpsc,
-            7,
-        )
-        .unwrap();
+        let chunked = cached::<i64>(7);
         assert!(!Arc::ptr_eq(&first, &chunked));
     }
 
     #[test]
     fn census_counts_structure() {
         let sec = RegularSection::new(0, 239, 1).unwrap();
-        let prog = compile::<i64>(
-            4,
-            8,
-            &sec,
-            &[(3, sec)],
-            ExecMode::Batched,
-            TransportKind::Mpsc,
-            0,
-        )
-        .unwrap();
+        let prog = compiled::<i64>(4, 8, &sec, &[(3, sec)], TransportKind::Mpsc, 0);
         let census = prog.census();
         assert!(census.sends > 0, "redistribution must send messages");
         assert_eq!(census.sends, census.recvs, "every send has a receiver");
@@ -1320,16 +1469,7 @@ mod tests {
         let sec_b = RegularSection::new(1, 399, 2).unwrap();
         let ops = vec![(b.k(), sec_b)];
         let run = |block: usize| {
-            let prog = compile::<i64>(
-                3,
-                7,
-                &sec_a,
-                &ops,
-                ExecMode::Batched,
-                TransportKind::Mpsc,
-                block,
-            )
-            .unwrap();
+            let prog = compiled::<i64>(3, 7, &sec_a, &ops, TransportKind::Mpsc, block);
             let mut a = DistArray::new(3, 7, n, 0i64).unwrap();
             prog.execute(
                 &mut a,
@@ -1338,17 +1478,24 @@ mod tests {
                 pool::default_launch(),
                 TransportKind::Mpsc,
             );
-            (prog.census(), a.to_global())
+            let mut c = DistArray::new(3, 7, n, 0i64).unwrap();
+            prog.copy(&mut c, &b, pool::default_launch(), TransportKind::Proc);
+            (prog.census(), a.to_global(), c.to_global())
         };
-        let (base_census, want) = run(0);
-        for block in [1usize, 5, 64] {
-            let (census, got) = run(block);
+        let (base_census, want, _) = run(0);
+        let mut want_copy = vec![0i64; n as usize];
+        for (ia, ib) in sec_a.iter().zip(sec_b.iter()) {
+            want_copy[ia as usize] = bg[ib as usize];
+        }
+        for block in [0usize, 1, 5, 64] {
+            let (census, got, copied) = run(block);
             assert_eq!(got, want, "block={block}");
+            assert_eq!(copied, want_copy, "copy block={block}");
             assert_eq!(
                 census.sends, base_census.sends,
                 "logical messages are cap-independent"
             );
-            if block < 64 {
+            if (1..64).contains(&block) {
                 assert!(
                     census.send_blocks > base_census.send_blocks,
                     "small caps must chunk messages (block={block})"
@@ -1369,8 +1516,7 @@ mod tests {
         let b = DistArray::from_global(2, 4, &bg).unwrap();
         let sec = RegularSection::new(0, n - 1, 1).unwrap();
         let ops = vec![(b.k(), sec)];
-        let prog =
-            compile::<i64>(2, 16, &sec, &ops, ExecMode::Batched, TransportKind::Shm, 1).unwrap();
+        let prog = compiled::<i64>(2, 16, &sec, &ops, TransportKind::Shm, 1);
         for node in &prog.nodes {
             for send in &node.sends {
                 assert!(send.blocks.len() > 1, "the transfer must still chunk");
@@ -1405,16 +1551,7 @@ mod tests {
         let sec = RegularSection::new(2, 1195, 3).unwrap();
         let ops = vec![(8i64, sec)];
         let run = |block: usize| {
-            let prog = compile::<f64>(
-                2,
-                8,
-                &sec,
-                &ops,
-                ExecMode::Batched,
-                TransportKind::Mpsc,
-                block,
-            )
-            .unwrap();
+            let prog = compiled::<f64>(2, 8, &sec, &ops, TransportKind::Mpsc, block);
             let mut a = DistArray::new(2, 8, n, -1.0f64).unwrap();
             prog.execute(
                 &mut a,
@@ -1439,16 +1576,7 @@ mod tests {
         }
         // Zero-operand fills block too.
         let fill = |block: usize| {
-            let prog = compile::<f64>(
-                2,
-                8,
-                &sec,
-                &[],
-                ExecMode::Batched,
-                TransportKind::Mpsc,
-                block,
-            )
-            .unwrap();
+            let prog = compiled::<f64>(2, 8, &sec, &[], TransportKind::Mpsc, block);
             let mut a = DistArray::new(2, 8, n, 0.0f64).unwrap();
             prog.execute(
                 &mut a,
@@ -1462,14 +1590,183 @@ mod tests {
         assert_eq!(fill(0), fill(32));
     }
 
-    #[test]
-    fn zero_operand_fused_fill() {
-        let mut a = DistArray::new(2, 4, 50, 0i64).unwrap();
-        let sec = RegularSection::new(1, 49, 4).unwrap();
-        assign_fused(&mut a, &sec, &[], |_| 9).unwrap();
-        let g = a.to_global();
-        for i in 0..50i64 {
-            assert_eq!(g[i as usize], if sec.contains(i) { 9 } else { 0 });
+    /// The DATA frames node `src`'s compiled sends to `dst` produce.
+    fn frames_from<T: PackValue>(
+        prog: &FusedStatement<T>,
+        operands: &[&DistArray<T>],
+        src: usize,
+        dst: usize,
+    ) -> Vec<Frame> {
+        let ops: Vec<&[T]> = operands.iter().map(|b| b.local(src as i64)).collect();
+        prog.nodes[src]
+            .sends
+            .iter()
+            .filter(|s| s.dst == dst)
+            .flat_map(|s| &s.blocks)
+            .map(|blk| {
+                let mut vals = Vec::new();
+                blk.gather(&ops, &mut vals);
+                Frame {
+                    kind: KIND_DATA,
+                    src: src as u32,
+                    dst: dst as u32,
+                    body: encode_block(src, &vals),
+                }
+            })
+            .collect()
+    }
+
+    /// The sequential global-index reference of `A(sec_a) = f(ops…)`
+    /// (`f = None`: the copy of the single operand).
+    fn oracle(
+        a: &[i64],
+        sec_a: &RegularSection,
+        ops: &[(Vec<i64>, RegularSection)],
+        f: Option<&Apply<'_, i64>>,
+    ) -> Vec<i64> {
+        let mut out = a.to_vec();
+        for t in 0..sec_a.count() {
+            let args: Vec<i64> = ops
+                .iter()
+                .map(|(g, s)| g[(s.l + t * s.s) as usize])
+                .collect();
+            out[(sec_a.l + t * sec_a.s) as usize] = match f {
+                Some(f) => f(&args),
+                None => args[0],
+            };
         }
+        out
+    }
+
+    /// Drives the replicated run of every node from in-memory sessions
+    /// preloaded with the frames the other nodes' compiled sends produce:
+    /// each process's full image must equal the oracle, and what it
+    /// really sent must be exactly what its peers' plans expect.
+    #[test]
+    fn replicated_run_matches_the_oracle_for_every_node() {
+        let gen = prop::from_fn(|rng: &mut Rng| {
+            let p = rng.random_range(1..=4);
+            let count = rng.random_range(0..=40);
+            let nops = rng.random_range(0..=2) as usize;
+            let mut secs = Vec::new();
+            for _ in 0..=nops {
+                let (lo, s) = (rng.random_range(0..=9), rng.random_range(1..=4));
+                secs.push((rng.random_range(1..=9), lo, s));
+            }
+            let block = *rng.choice(&[0usize, 1, 7]);
+            let copy = nops == 1 && rng.random_bool(0.5);
+            (p, count, secs, block, copy)
+        });
+        prop::check_with(
+            &Config {
+                cases: 48,
+                ..Config::default()
+            },
+            "fuse-replicated",
+            &gen,
+            |(p, count, secs, block, copy)| {
+                let (p, count) = (*p, *count);
+                let sec = |&(_, lo, s): &(i64, i64, i64)| {
+                    RegularSection::new(lo, lo + (count - 1) * s, s).unwrap()
+                };
+                let n = secs.iter().map(|&(_, lo, s)| lo + count * s).max().unwrap() + 3;
+                let (k_a, sec_a) = (secs[0].0, sec(&secs[0]));
+                let globals: Vec<(Vec<i64>, RegularSection)> = secs[1..]
+                    .iter()
+                    .enumerate()
+                    .map(|(j, d)| ((0..n).map(|i| 100 * j as i64 + 3 * i).collect(), sec(d)))
+                    .collect();
+                let arrays: Vec<DistArray<i64>> = secs[1..]
+                    .iter()
+                    .zip(&globals)
+                    .map(|(d, (g, _))| DistArray::from_global(p, d.0, g).unwrap())
+                    .collect();
+                let refs: Vec<&DistArray<i64>> = arrays.iter().collect();
+                let ops: Vec<(i64, RegularSection)> =
+                    secs[1..].iter().map(|d| (d.0, sec(d))).collect();
+                let body = |v: &[i64]| v.iter().fold(7i64, |acc, x| acc * 3 + x);
+                let f: Option<&Apply<'_, i64>> = if *copy { None } else { Some(&body) };
+                let base: Vec<i64> = (0..n).map(|i| -i).collect();
+                let want = oracle(&base, &sec_a, &globals, f);
+                let prog = compiled::<i64>(p, k_a, &sec_a, &ops, TransportKind::Proc, *block);
+                let pu = p as usize;
+                for me in 0..pu {
+                    let inbound: Vec<Frame> = (0..pu)
+                        .filter(|&src| src != me)
+                        .flat_map(|src| frames_from(&prog, &refs, src, me))
+                        .collect();
+                    let (session, sink) = session_for(me, pu, &inbound);
+                    let mut a = DistArray::from_global(p, k_a, &base).unwrap();
+                    prog.replicated(&mut a, &refs, f, &session).unwrap();
+                    assert_eq!(a.to_global(), want, "node {me} image");
+                    let wrote = lock_clean(&sink).clone();
+                    let mut r = &wrote[..];
+                    let mut sent = Vec::new();
+                    while let Some(frame) = read_frame(&mut r).unwrap() {
+                        sent.push(frame);
+                    }
+                    let expect: Vec<Frame> = (0..pu)
+                        .filter(|&dst| dst != me)
+                        .flat_map(|dst| frames_from(&prog, &refs, me, dst))
+                        .collect();
+                    assert_eq!(sent, expect, "node {me} sends");
+                }
+            },
+        );
+    }
+
+    /// Frames a peer process could corrupt — a missing source tag, a
+    /// source outside the session, a tag naming the wrong node, or the
+    /// wrong element count for the compiled block — fail the replicated
+    /// run with a protocol error instead of panicking, for copies and
+    /// expressions alike. Payloads without a wire format are refused.
+    #[test]
+    fn hostile_frames_fail_the_replicated_run() {
+        let n = 64i64;
+        let bg: Vec<i64> = (0..n).collect();
+        let b = DistArray::from_global(2, 3, &bg).unwrap();
+        let sec = RegularSection::new(0, n - 1, 1).unwrap();
+        let prog = compiled::<i64>(2, 5, &sec, &[(3, sec)], TransportKind::Proc, 0);
+        let good = frames_from(&prog, &[&b], 1, 0);
+        assert_eq!(good.len(), 1, "one block from node 1");
+        let mut vals = Vec::new();
+        decode_block::<i64>(&good[0].body, &mut vals).unwrap();
+        let with_body = |body: Vec<u8>| Frame {
+            body,
+            ..good[0].clone()
+        };
+        let hostile = [
+            with_body(wire::encode::<i64>(&[], &vals)),
+            with_body(vec![1, 2]),
+            Frame {
+                src: 9,
+                ..good[0].clone()
+            },
+            with_body(encode_block(7, &vals)),
+            with_body(encode_block(1, &vals[1..])),
+        ];
+        let double = |v: &[i64]| 2 * v[0];
+        for frame in hostile {
+            for f in [None, Some(&double as &Apply<'_, i64>)] {
+                let (session, _) = session_for(0, 2, std::slice::from_ref(&frame));
+                let mut a = DistArray::new(2, 5, n, 0i64).unwrap();
+                let err = prog.replicated(&mut a, &[&b], f, &session).unwrap_err();
+                assert!(matches!(err, BcagError::Protocol(_)), "{err}");
+            }
+        }
+        let (session, _) = session_for(0, 2, &good);
+        let mut a = DistArray::new(2, 5, n, 0i64).unwrap();
+        prog.replicated(&mut a, &[&b], None, &session).unwrap();
+        assert_eq!(a.to_global(), bg);
+
+        let words: Vec<String> = (0..n).map(|i| format!("w{i}")).collect();
+        let wb = DistArray::from_global(2, 3, &words).unwrap();
+        let sprog = compiled::<String>(2, 5, &sec, &[(3, sec)], TransportKind::Proc, 0);
+        let (session, _) = session_for(0, 2, &[]);
+        let mut wa = DistArray::new(2, 5, n, String::new()).unwrap();
+        assert!(matches!(
+            sprog.replicated(&mut wa, &[&wb], None, &session),
+            Err(BcagError::Precondition(_))
+        ));
     }
 }

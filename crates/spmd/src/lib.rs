@@ -22,10 +22,9 @@
 //!   compares;
 //! * [`assign`] — owner-computes section statements
 //!   (`A(l:u:s) = expr`) compiled to plans + traversal loops;
-//! * [`comm`] — communication sets and batched message-passing execution
-//!   for two-sided assignments `A(secA) = B(secB)` (one message per
-//!   non-empty (src, dst) pair), including redistribution between
-//!   different block sizes;
+//! * [`comm`] — communication sets for two-sided assignments
+//!   `A(secA) = B(secB)` and the run-encoded wire format their messages
+//!   travel in;
 //! * [`csr`] — the flat compressed-sparse-row storage the schedules and
 //!   2-D rank decompositions are built on;
 //! * [`cache`] — a process-wide, capacity-bounded cache of communication
@@ -37,12 +36,14 @@
 //! * [`dmatrix`] — 2-D distributed matrices over an HPF mapping, with SPMD
 //!   updates of rectangular, diagonal and trapezoidal regions;
 //! * [`statement`] — whole array statements `A(secA) = f(B(secB), ...)`
-//!   (gather + owner-computes) and block-size redistribution;
-//! * [`fuse`] — the plan compiler behind those statements: compiles a
-//!   whole statement shape into one fused per-node epoch (pack→send→
-//!   recv→unpack→apply, gap-specialized kernels, a single pool
-//!   dispatch), cached next to the schedules and A/B-selectable with
-//!   `BCAG_FUSE=on|off`;
+//!   (gather + owner-computes), two-sided copies and block-size
+//!   redistribution;
+//! * [`fuse`] — the plan compiler behind those statements and the only
+//!   code that moves array data: compiles a whole statement shape into
+//!   one fused per-node epoch (stage→pack/send→drain/scatter→apply,
+//!   gap-specialized kernels, a single pool dispatch), cached next to
+//!   the schedules, and runs it as an expression, a copy, or — inside a
+//!   `bcag spmd` node process — replicated over the session pipes;
 //! * [`pack`] — message vectorization: pack/unpack a node's share of a
 //!   section into contiguous buffers, run-coalesced into slice copies by
 //!   the [`bcag_core::runs`] contiguity analysis of the gap table.
@@ -90,23 +91,18 @@ pub mod transport;
 pub use assign::{apply_section, assign_scalar, plan_section, NodePlan};
 pub use blas1::{asum, axpy, iamax, nrm2, scal};
 pub use codeshapes::CodeShape;
-pub use comm::{
-    assign_array, CommSchedule, ExecMode, MessageMatrix, PackValue, RunSpan, Transfer, TransferRun,
-};
+pub use comm::{CommSchedule, ExecMode, MessageMatrix, PackValue, RunSpan, Transfer, TransferRun};
 pub use comm2d::assign_matrix;
 pub use csr::Csr;
 pub use darray::DistArray;
 pub use dmatrix::DistMatrix;
-pub use fuse::{
-    assign_fused, default_fused, epoch_block_elems, last_blocked, set_default_fused, FuseCensus,
-    FusedMode,
-};
+pub use fuse::{default_fused, epoch_block_elems, last_blocked, FuseCensus, FusedMode};
 pub use machine::Machine;
 pub use pack::{default_pack_mode, gather_section, last_pack_mode, PackMode};
 pub use pool::{LaunchMode, NodeCtx};
 pub use reduce::{dot_sections, reduce_section, sum_section};
 pub use shift::{cshift, eoshift};
-pub use statement::{assign_expr, redistribute};
+pub use statement::{assign_array, assign_expr, redistribute};
 pub use stats::{
     block_size_tradeoff, comm_stats, fuse_census, load_stats, per_node_packed_from_trace,
     CommStats, LoadStats,

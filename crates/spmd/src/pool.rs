@@ -3,7 +3,7 @@
 //!
 //! The simulated machine historically paid a full `thread::scope`
 //! spawn/join of `p` OS threads on every [`crate::Machine::run`] and
-//! [`crate::CommSchedule::execute`] call. For the small-`k`,
+//! statement epoch. For the small-`k`,
 //! many-statement workloads whose *planning* cost the schedule cache
 //! already removed, that per-statement *launch* cost dominates. The pool
 //! makes the runtime behave like the paper's iPSC/860: nodes boot once,
@@ -85,7 +85,7 @@ impl LaunchMode {
 static DEFAULT_LAUNCH: AtomicU8 = AtomicU8::new(0);
 
 /// The process-wide default [`LaunchMode`], used by `Machine::new` and
-/// `CommSchedule::execute_with`. Initialized lazily from the
+/// the statement entry points. Initialized lazily from the
 /// `BCAG_LAUNCH` env var (`scoped` selects the per-call thread path;
 /// anything else, or unset, selects the pool).
 pub fn default_launch() -> LaunchMode {
@@ -249,22 +249,9 @@ impl NodeCtx {
         self.arena.put(buf)
     }
 
-    /// Non-blocking poison check for bodies that receive on their own
-    /// typed channels (the per-element executor): panics if a peer's
-    /// poison is queued on the fabric.
-    pub(crate) fn check_poison(&mut self) {
-        if let Some(env) = self.link.try_recv() {
-            if env.is::<Poison>() {
-                panic!(
-                    "spmd node {}: a peer node job panicked mid-exchange",
-                    self.m
-                );
-            }
-            panic!(
-                "spmd node {}: unexpected fabric message during typed exchange",
-                self.m
-            );
-        }
+    /// This node's buffer arena (phase helpers take it directly).
+    pub(crate) fn arena(&mut self) -> &mut BufferArena {
+        &mut self.arena
     }
 
     /// Whether anything is queued on the fabric (post-panic hygiene
@@ -603,8 +590,8 @@ fn enforce_pool_cap(cap: usize, keep_p: usize, keep_kind: TransportKind) {
     }
 }
 
-/// Lock domains of the pool registry. Every `Machine::new` and
-/// `CommSchedule` execution resolves its pool through the registry, so
+/// Lock domains of the pool registry. Every `Machine::new` and fused
+/// epoch resolves its pool through the registry, so
 /// like the schedule cache it must not funnel concurrent drivers through
 /// one exclusive lock; 16 shards is far past the handful of
 /// (machine size, transport) pairs a process ever runs.
@@ -701,11 +688,11 @@ where
 ///
 /// Inside an `spmd` node process (multi-process session installed), the
 /// process *is* one node: bodies run inline on the calling thread for
-/// every node index, against a loopback fabric. Node-to-node data of
-/// comm executors never reaches this path there — `CommSchedule`
-/// execution detects the session first and uses the serialized wire —
-/// so inline bodies are compute-only and the replicated execution keeps
-/// every node's local-memory image consistent within each process.
+/// every node index, against a loopback fabric. Node-to-node data never
+/// reaches this path there — the statement entry points detect the
+/// session first and run the fused program's replicated form over the
+/// serialized wire — so inline bodies are compute-only and every node's
+/// local-memory image stays consistent within each process.
 pub fn launch_with<F>(p: i64, mode: LaunchMode, kind: TransportKind, body: F)
 where
     F: Fn(usize, &mut NodeCtx) + Sync,
@@ -991,19 +978,24 @@ mod tests {
         // (evicted pools survive through held Arcs anyway). Registered
         // directly rather than via `global_with`, whose own boot-time
         // admission would evict the earlier keys before the scenario is
-        // even set up; the stamp order is 31 < 32 < 33 < 34.
+        // even set up; the stamp order is 31 < 32 < 33 < 34. Their gates
+        // are held until the scenario starts: busy pools are never
+        // admission victims, so boots by concurrently running tests
+        // cannot evict them from under the setup checks.
         let held: Vec<Arc<Pool>> = [31usize, 32, 33, 34]
             .iter()
-            .map(|&p| {
-                let pool = Arc::new(Pool::new(p, TransportKind::Shm));
-                pool.touch();
-                write_clean(registry_shard(p, TransportKind::Shm)).push(Arc::clone(&pool));
-                pool
-            })
+            .map(|&p| Arc::new(Pool::new(p, TransportKind::Shm)))
             .collect();
+        let busy: Vec<MutexGuard<'_, ()>> =
+            held.iter().map(|pool| lock_clean(&pool.gate)).collect();
+        for pool in &held {
+            pool.touch();
+            write_clean(registry_shard(pool.p, TransportKind::Shm)).push(Arc::clone(pool));
+        }
         for &p in &[31usize, 32, 33, 34] {
             assert!(registered(p, TransportKind::Shm));
         }
+        drop(busy);
         // Cap of 2 with a keep-key matching none of them: the three
         // stalest idle pools must be evicted, leaving the fleet under
         // the cap with only the most recently used survivor.

@@ -7,11 +7,11 @@
 //! access-sequence machinery ([`crate::comm`]).
 
 use bcag_core::error::{BcagError, Result};
-use bcag_core::method::Method;
 use bcag_core::section::RegularSection;
 
-use crate::comm::{assign_array, PackValue};
+use crate::comm::PackValue;
 use crate::darray::DistArray;
+use crate::statement::assign_array;
 
 /// Circular shift: returns `A` with `A(i) = B((i + shift) mod n)`.
 /// Positive `shift` moves elements toward lower indices (HPF convention).
@@ -28,11 +28,11 @@ pub fn cshift<T: PackValue>(b: &DistArray<T>, shift: i64) -> Result<DistArray<T>
     // A(0 : n-1-sh) = B(sh : n-1)
     let dst_main = RegularSection::new(0, n - 1 - sh, 1)?;
     let src_main = RegularSection::new(sh, n - 1, 1)?;
-    assign_array(&mut a, &dst_main, b, &src_main, Method::Lattice)?;
+    assign_array(&mut a, &dst_main, b, &src_main)?;
     // A(n-sh : n-1) = B(0 : sh-1)
     let dst_wrap = RegularSection::new(n - sh, n - 1, 1)?;
     let src_wrap = RegularSection::new(0, sh - 1, 1)?;
-    assign_array(&mut a, &dst_wrap, b, &src_wrap, Method::Lattice)?;
+    assign_array(&mut a, &dst_wrap, b, &src_wrap)?;
     Ok(a)
 }
 
@@ -56,7 +56,7 @@ pub fn eoshift<T: PackValue>(b: &DistArray<T>, shift: i64, boundary: T) -> Resul
     if shift > 0 {
         let dst = RegularSection::new(0, n - 1 - shift, 1)?;
         let src = RegularSection::new(shift, n - 1, 1)?;
-        assign_array(&mut a, &dst, b, &src, Method::Lattice)?;
+        assign_array(&mut a, &dst, b, &src)?;
         for i in n - shift..n {
             a.set(i, boundary.clone())?;
         }
@@ -64,7 +64,7 @@ pub fn eoshift<T: PackValue>(b: &DistArray<T>, shift: i64, boundary: T) -> Resul
         let sh = -shift;
         let dst = RegularSection::new(sh, n - 1, 1)?;
         let src = RegularSection::new(0, n - 1 - sh, 1)?;
-        assign_array(&mut a, &dst, b, &src, Method::Lattice)?;
+        assign_array(&mut a, &dst, b, &src)?;
         for i in 0..sh {
             a.set(i, boundary.clone())?;
         }

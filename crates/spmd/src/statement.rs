@@ -5,41 +5,40 @@
 //! side operand's section to the processors that own the corresponding
 //! left-hand side elements (communication sets), then run an owner-computes
 //! elementwise loop over the LHS access sequence. This module is that
-//! wrapper, plus block-size redistribution as the special case
-//! `A(0:n-1) = B(0:n-1)`.
+//! wrapper, plus two-sided copies and block-size redistribution as the
+//! special case `A(0:n-1) = B(0:n-1)`.
 //!
-//! On the steady-state path — a loop re-executing one statement shape —
-//! every launch here dispatches to the resident worker pool
-//! ([`crate::pool`]), the schedule cache answers the planning queries,
-//! and message buffers come from the per-node arenas: after the first
-//! iteration a statement spawns no threads and allocates no fresh
-//! message buffers. Both shared services are built for many concurrent
-//! drivers: the cache is sharded with lock-free hit bookkeeping and the
-//! pool registry is a sharded read-mostly map, so N interpreted scripts
-//! running this path simultaneously contend only when they miss on the
-//! same key at the same time (and then the single-flight arbitration
-//! builds once and shares the result).
+//! Every statement here runs its cached fused program ([`crate::fuse`]):
+//! one pool dispatch per statement on the resident worker pool
+//! ([`crate::pool`]), message buffers from the per-node arenas, and —
+//! inside a `bcag spmd` node process — the replicated run over the
+//! session pipes. After the first iteration of a loop a statement spawns
+//! no threads, builds nothing and allocates no fresh message buffers.
+//! Both shared services are built for many concurrent drivers: the cache
+//! is sharded with lock-free hit bookkeeping and the pool registry is a
+//! sharded read-mostly map, so N interpreted scripts running this path
+//! simultaneously contend only when they miss on the same key at the
+//! same time (and then the single-flight arbitration builds once and
+//! shares the result).
 
-use bcag_core::error::{BcagError, Result};
-use bcag_core::method::Method;
+use bcag_core::error::Result;
 use bcag_core::section::RegularSection;
-use bcag_core::tune::{default_tune, CodeShapeChoice, TuneMode};
 
-use crate::cache;
-use crate::comm::{ExecMode, PackValue};
+use crate::comm::PackValue;
 use crate::darray::DistArray;
 use crate::fuse;
-use crate::machine::Machine;
 use crate::pool;
 use crate::transport;
 
 /// Executes `A(sec_a) = f(operand values...)` where each operand is a
 /// `(array, section)` pair conforming to `sec_a` (equal element counts).
 /// Operands may live on any layout with the same processor count; their
-/// values are gathered to the LHS owners first.
+/// values are gathered to the LHS owners first. The LHS section must be
+/// ascending.
 ///
 /// `f` receives the operands' values for one section rank, in operand
-/// order.
+/// order. Operands are read as of before the statement, so `A` may
+/// appear on its own right-hand side.
 pub fn assign_expr<T, F>(
     a: &mut DistArray<T>,
     sec_a: &RegularSection,
@@ -50,122 +49,33 @@ where
     T: PackValue,
     F: Fn(&[T]) -> T + Sync,
 {
-    if sec_a.s <= 0 {
-        return Err(BcagError::Precondition(
-            "assign_expr requires an ascending LHS section; normalize first",
-        ));
-    }
-    for (b, sec_b) in operands {
-        if b.p() != a.p() {
-            return Err(BcagError::Precondition("operands must share the machine"));
-        }
-        if sec_b.count() != sec_a.count() {
-            return Err(BcagError::Precondition("operand sections must conform"));
-        }
-    }
+    fuse::assign_fused_on(
+        a,
+        sec_a,
+        operands,
+        f,
+        pool::default_launch(),
+        transport::active_transport(),
+    )
+}
 
-    // Fused path (default): the whole statement — gather, exchange, and
-    // owner-computes loop — runs as one compiled per-node epoch with a
-    // single pool dispatch and no staging array clones. Bit-exact with
-    // the interpreted path below; `BCAG_FUSE=off` selects the
-    // interpreted path for A/B runs. Multi-process sessions keep the
-    // interpreted path, whose executor has the shadow-application
-    // protocol replicated images need.
-    if fuse::default_fused() == fuse::FusedMode::On && transport::proc::active().is_none() {
-        return fuse::assign_fused(a, sec_a, operands, f);
-    }
-
-    // Gather phase: each operand's section values land in an A-shaped
-    // temporary at the local addresses of the corresponding LHS elements.
-    // Schedules and plans come from the process-wide cache, so a loop
-    // executing the same statement shape rebuilds nothing after its first
-    // iteration.
-    // The cache key carries the execution context the schedule will run
-    // under, so an A/B run switching transports or executors mid-process
-    // never reuses a plan warmed for the other configuration.
-    let mode = ExecMode::Batched;
-    let kind = transport::active_transport();
-    let mut staged: Vec<DistArray<T>> = Vec::with_capacity(operands.len());
-    for (b, sec_b) in operands {
-        let mut tmp = a.clone();
-        let schedule = cache::schedule(
-            a.p(),
-            a.k(),
-            sec_a,
-            b.k(),
-            sec_b,
-            Method::Lattice,
-            mode,
-            kind,
-        )?;
-        schedule.execute_transport(&mut tmp, b, mode, pool::default_launch(), kind)?;
-        staged.push(tmp);
-    }
-
-    // The interpreted path is never L2-blocked; keep the flight
-    // recorder's blocked flag honest across fused/interpreted A/B runs.
-    fuse::note_blocked(false);
-
-    // Compute phase: owner-computes over the LHS access sequence. Under
-    // the self-tuning default, each node's traversal shape comes from
-    // its memoized dispatch decision: fragmented plans walk the
-    // offset-indexed two-table form (Figure 8(d)) instead of the
-    // run-coalesced segment loop, whose per-segment setup dominates when
-    // runs are short.
-    let plans = cache::plans(a.p(), a.k(), sec_a, Method::Lattice)?;
-    let decisions = match default_tune() {
-        TuneMode::Auto => Some(cache::decisions(
-            a.p(),
-            a.k(),
-            sec_a,
-            Method::Lattice,
-            std::mem::size_of::<T>(),
-        )?),
-        TuneMode::Fixed => None,
-    };
-    let machine = Machine::new(a.p());
-    let staged_refs: Vec<&DistArray<T>> = staged.iter().collect();
-    machine.run(a.locals_mut(), |m, local| {
-        let plan = &plans[m];
-        let Some(start) = plan.start else {
-            return;
-        };
-        let locs: Vec<&[T]> = staged_refs.iter().map(|t| t.local(m as i64)).collect();
-        let mut args: Vec<T> = Vec::with_capacity(locs.len());
-        let two_table = decisions
-            .as_ref()
-            .is_some_and(|ds| ds[m].code_shape == CodeShapeChoice::TwoTableLoop);
-        if let (true, Some(tables)) = (two_table, plan.tables.as_ref()) {
-            // Figure 8(d) walk: two loads per access, no wrap test — the
-            // winning shape when the plan decomposes into short runs.
-            let mut base = start;
-            let mut i = tables.start_offset;
-            while base <= plan.last {
-                let addr = base as usize;
-                args.clear();
-                for lv in &locs {
-                    args.push(lv[addr].clone());
-                }
-                local[addr] = f(&args);
-                base += tables.delta_m[i as usize];
-                i = tables.next_offset[i as usize];
-            }
-            return;
-        }
-        // Run-coalesced traversal: direct indexing per segment instead of
-        // a gap-table load per element.
-        plan.runs.for_each_segment(|seg| {
-            for j in 0..seg.len {
-                let addr = (seg.addr + j * seg.gap) as usize;
-                args.clear();
-                for lv in &locs {
-                    args.push(lv[addr].clone());
-                }
-                local[addr] = f(&args);
-            }
-        });
-    });
-    Ok(())
+/// Executes the copy `A(sec_a) = B(sec_b)` for conforming sections on
+/// any two layouts of one machine: the copy run of the statement's
+/// fused program, with no staging snapshot and no apply phase.
+pub fn assign_array<T: PackValue>(
+    a: &mut DistArray<T>,
+    sec_a: &RegularSection,
+    b: &DistArray<T>,
+    sec_b: &RegularSection,
+) -> Result<()> {
+    fuse::assign_copy_on(
+        a,
+        sec_a,
+        b,
+        sec_b,
+        pool::default_launch(),
+        transport::active_transport(),
+    )
 }
 
 /// Redistributes an array to a new block size: returns a `cyclic(new_k)`
@@ -180,16 +90,29 @@ pub fn redistribute<T: PackValue>(arr: &DistArray<T>, new_k: i64) -> Result<Dist
     let proto = arr.get(0)?.clone();
     let mut out = DistArray::new(arr.p(), new_k, n, proto)?;
     let sec = RegularSection::new(0, n - 1, 1)?;
-    let mode = ExecMode::Batched;
-    let kind = transport::active_transport();
-    let schedule = cache::schedule_lattice(arr.p(), new_k, &sec, arr.k(), &sec, mode, kind)?;
-    schedule.execute_transport(&mut out, arr, mode, pool::default_launch(), kind)?;
+    assign_array(&mut out, &sec, arr, &sec)?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::LaunchMode;
+    use crate::transport::TransportKind;
+
+    /// The sequential global-index reference of `A(sec_a) = B(sec_b)`.
+    fn oracle<T: Clone>(
+        a: &[T],
+        sec_a: &RegularSection,
+        b: &[T],
+        sec_b: &RegularSection,
+    ) -> Vec<T> {
+        let mut out = a.to_vec();
+        for (ia, ib) in sec_a.iter().zip(sec_b.iter()) {
+            out[ia as usize] = b[ib as usize].clone();
+        }
+        out
+    }
 
     #[test]
     fn triad_with_mixed_layouts() {
@@ -241,7 +164,7 @@ mod tests {
     #[test]
     fn self_assignment_shift() {
         // A(0:89:1) = A(10:99:1): a shifted self-copy through a staging
-        // temporary (the gather snapshots the RHS before any write).
+        // snapshot (the RHS is read before any write).
         let n = 100i64;
         let data: Vec<i64> = (0..n).collect();
         let mut a = DistArray::from_global(4, 4, &data).unwrap();
@@ -249,22 +172,79 @@ mod tests {
         let sec_dst = RegularSection::new(0, 89, 1).unwrap();
         let sec_src = RegularSection::new(10, 99, 1).unwrap();
         assign_expr(&mut a, &sec_dst, &[(&src, sec_src)], |args| args[0]).unwrap();
-        let g = a.to_global();
-        for i in 0..90i64 {
-            assert_eq!(g[i as usize], i + 10);
-        }
-        for i in 90..100i64 {
-            assert_eq!(g[i as usize], i);
-        }
+        assert_eq!(a.to_global(), oracle(&data, &sec_dst, &data, &sec_src));
     }
 
     #[test]
-    fn conformance_checked() {
+    fn malformed_statements_are_rejected() {
         let b = DistArray::new(2, 4, 50, 0.0f64).unwrap();
         let mut a = DistArray::new(2, 4, 50, 0.0f64).unwrap();
         let sec_a = RegularSection::new(0, 9, 1).unwrap();
         let sec_b = RegularSection::new(0, 10, 1).unwrap();
         assert!(assign_expr(&mut a, &sec_a, &[(&b, sec_b)], |v| v[0]).is_err());
+        assert!(assign_array(&mut a, &sec_a, &b, &sec_b).is_err());
+        let desc = RegularSection::new(9, 0, -1).unwrap();
+        assert!(assign_array(&mut a, &desc, &b, &desc).is_err());
+        let other = DistArray::new(3, 4, 50, 0.0f64).unwrap();
+        assert!(assign_array(&mut a, &sec_a, &other, &sec_a).is_err());
+    }
+
+    #[test]
+    fn copies_match_the_oracle_on_every_transport_and_launch() {
+        // A strided same-layout copy (communication-free) and a genuine
+        // cyclic(8) = cyclic(3) redistribution.
+        let n = 300i64;
+        let bg: Vec<i64> = (0..n).map(|i| i * i - 7).collect();
+        for (k_a, k_b, (la, ua, sa), (lb, ub, sb)) in [
+            (8i64, 8i64, (0, 290, 10), (5, 295, 10)),
+            (8, 3, (2, 230, 4), (1, 229, 4)),
+        ] {
+            let sec_a = RegularSection::new(la, ua, sa).unwrap();
+            let sec_b = RegularSection::new(lb, ub, sb).unwrap();
+            let b = DistArray::from_global(4, k_b, &bg).unwrap();
+            let want = oracle(&vec![-1; n as usize], &sec_a, &bg, &sec_b);
+            for kind in TransportKind::ALL {
+                for launch in [LaunchMode::Pooled, LaunchMode::Scoped] {
+                    let mut a = DistArray::new(4, k_a, n, -1i64).unwrap();
+                    fuse::assign_copy_on(&mut a, &sec_a, &b, &sec_b, launch, kind).unwrap();
+                    assert_eq!(a.to_global(), want, "{} {}", kind.name(), launch.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn copies_move_array_and_clone_payloads() {
+        // [f64; 4] exercises the composite wire format over the
+        // serializing fabric; Strings have no wire format and travel as
+        // boxed envelopes on every fabric.
+        let n = 96i64;
+        let sec = RegularSection::new(0, n - 1, 1).unwrap();
+        let quads: Vec<[f64; 4]> = (0..n)
+            .map(|i| [i as f64, -i as f64, 0.5 * i as f64, 1.0])
+            .collect();
+        let words: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
+        let qb = DistArray::from_global(4, 5, &quads).unwrap();
+        let wb = DistArray::from_global(4, 5, &words).unwrap();
+        for kind in TransportKind::ALL {
+            let mut qa = DistArray::new(4, 3, n, [0.0f64; 4]).unwrap();
+            fuse::assign_copy_on(&mut qa, &sec, &qb, &sec, LaunchMode::Scoped, kind).unwrap();
+            assert_eq!(qa.to_global(), quads, "{}", kind.name());
+            let mut wa = DistArray::new(4, 7, n, String::new()).unwrap();
+            fuse::assign_copy_on(&mut wa, &sec, &wb, &sec, LaunchMode::Pooled, kind).unwrap();
+            assert_eq!(wa.to_global(), words, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn empty_sections_are_noop() {
+        let sec = RegularSection::new(10, 5, 1).unwrap();
+        assert_eq!(sec.count(), 0);
+        let b = DistArray::new(2, 4, 20, 3i64).unwrap();
+        let mut a = DistArray::new(2, 4, 20, 7i64).unwrap();
+        assign_array(&mut a, &sec, &b, &sec).unwrap();
+        assign_expr(&mut a, &sec, &[(&b, sec)], |v| v[0] + 1).unwrap();
+        assert!(a.to_global().iter().all(|&x| x == 7));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! machine property, not an algorithm property. This module extracts
 //! that axis behind the [`Endpoint`] trait — per-node send/recv of
 //! type-erased [`Envelope`]s, plus poison and barrier signalling layered
-//! on top by [`crate::pool::NodeCtx`] — so the same executors run over
+//! on top by [`crate::pool::NodeCtx`] — so the same fused epochs run over
 //! three backends:
 //!
 //! * [`TransportKind::Mpsc`] — the reference fabric: one `std::sync::mpsc`
@@ -17,7 +17,7 @@
 //!   `memmap`-ready: nothing in the protocol assumes a shared heap beyond
 //!   the ring storage itself.
 //! * [`TransportKind::Proc`] — the shm fabric with *serialized* payloads:
-//!   executors encode the run-encoded wire format (`comm::wire`) into
+//!   fused epochs encode the run-encoded wire format (`comm::wire`) into
 //!   byte frames instead of moving boxed buffers, exercising exactly the
 //!   bytes that `bcag spmd --procs p` ships between real OS processes
 //!   (see [`proc`] for the multi-process session itself).
@@ -34,8 +34,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-/// A type-erased fabric message. Batched execution ships whole
-/// run-encoded buffers as one envelope per (src, dst) pair.
+/// A type-erased fabric message. Fused epochs ship one envelope per
+/// message block per (src, dst) pair.
 pub type Envelope = Box<dyn Any + Send>;
 
 /// Marker envelope broadcast by a panicking node job so peers blocked in
@@ -97,7 +97,7 @@ impl TransportKind {
 static DEFAULT_TRANSPORT: AtomicU8 = AtomicU8::new(0);
 
 /// The process-wide default [`TransportKind`], used by
-/// [`crate::Machine::new`] and `CommSchedule::execute_with`. Initialized
+/// [`crate::Machine::new`] and the statement entry points. Initialized
 /// lazily from the `BCAG_TRANSPORT` env var (`mpsc`, `shm` or `proc`;
 /// unset or unrecognized selects `mpsc`, the reference fabric).
 pub fn default_transport() -> TransportKind {

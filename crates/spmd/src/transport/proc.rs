@@ -4,8 +4,8 @@
 //! same script as one node, and routes frames between them in a star
 //! topology: every child's stdout is read by a parent router thread,
 //! which forwards DATA frames to the destination child's stdin. A child
-//! process installs a process-global [`Session`] here; the executors and
-//! the interpreter detect it and exchange the serialized run-encoded
+//! process installs a process-global [`Session`] here; the fused
+//! statement runs detect it and exchange the serialized run-encoded
 //! wire format (`comm::wire`) over it instead of in-memory envelopes —
 //! real process isolation, real bytes.
 //!
@@ -15,12 +15,12 @@
 //! [kind: u8] [src: u32] [dst: u32] [len: u32] [body: len bytes]
 //! ```
 //!
-//! `DATA` frames carry node-to-node payloads (wire-encoded messages,
-//! gather/broadcast bodies, barrier tokens); `PRINT` ships an output
-//! line to the launcher; `TRACE` ships a node's serialized trace
-//! (`bcag-trace-full/v1`) for lane merging; `DONE` marks orderly
-//! completion; `POISON` is broadcast by the router when a peer process
-//! dies, releasing nodes blocked in [`Session::recv_from`].
+//! `DATA` frames carry node-to-node payloads (wire-encoded fused message
+//! blocks); `PRINT` ships an output line to the launcher; `TRACE` ships a
+//! node's serialized trace (`bcag-trace-full/v1`) for lane merging;
+//! `DONE` marks orderly completion; `POISON` is broadcast by the router
+//! when a peer process dies, releasing nodes blocked in
+//! [`Session::recv_from`] with an error.
 //!
 //! There is no cross-process epoch barrier, so a fast node's frames for
 //! statement N+1 can arrive while a slow node still drains statement N.
@@ -33,6 +33,8 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex, OnceLock};
+
+use bcag_core::error::{BcagError, Result};
 
 use crate::pool::lock_clean;
 
@@ -73,6 +75,9 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
     w.flush()
 }
 
+/// Body bytes [`read_frame`] reserves before any arrive.
+const FRAME_PREALLOC: usize = 1 << 20;
+
 /// Reads one frame; `Ok(None)` on clean EOF at a frame boundary.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Frame>> {
     let mut header = [0u8; 13];
@@ -91,8 +96,16 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Frame>> {
         filled += n;
     }
     let len = u32::from_le_bytes(header[9..13].try_into().expect("4 bytes")) as usize;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    // The length is the sender's claim: grow the body as bytes actually
+    // arrive rather than allocating the claimed size up front.
+    let mut body = Vec::with_capacity(len.min(FRAME_PREALLOC));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() != len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "EOF inside a frame body",
+        ));
+    }
     Ok(Some(Frame {
         kind: header[0],
         src: u32::from_le_bytes(header[1..5].try_into().expect("4 bytes")),
@@ -118,24 +131,16 @@ struct SessionIo {
 static SESSION: OnceLock<Arc<Session>> = OnceLock::new();
 
 /// Installs the process-global session for node `me` of `p`, speaking
-/// frames over the given pipe ends (stdin/stdout in a real child;
-/// in-memory pipes in tests). Panics if a session is already installed —
-/// a child process is one node for its whole lifetime.
+/// frames over the given pipe ends (stdin/stdout in a real child).
+/// Panics if a session is already installed — a child process is one
+/// node for its whole lifetime.
 pub fn install(
     me: usize,
     p: usize,
     reader: Box<dyn Read + Send>,
     writer: Box<dyn Write + Send>,
 ) -> Arc<Session> {
-    let session = Arc::new(Session {
-        me,
-        p,
-        io: Mutex::new(SessionIo {
-            writer,
-            reader,
-            pending: (0..p).map(|_| VecDeque::new()).collect(),
-        }),
-    });
+    let session = Arc::new(Session::over(me, p, reader, writer));
     SESSION
         .set(Arc::clone(&session))
         .unwrap_or_else(|_| panic!("spmd session already installed"));
@@ -148,6 +153,25 @@ pub fn active() -> Option<Arc<Session>> {
 }
 
 impl Session {
+    /// A session for node `me` of `p` over the given pipe ends, without
+    /// installing it process-wide (in-memory pipes in tests).
+    pub(crate) fn over(
+        me: usize,
+        p: usize,
+        reader: Box<dyn Read + Send>,
+        writer: Box<dyn Write + Send>,
+    ) -> Session {
+        Session {
+            me,
+            p,
+            io: Mutex::new(SessionIo {
+                writer,
+                reader,
+                pending: (0..p).map(|_| VecDeque::new()).collect(),
+            }),
+        }
+    }
+
     /// This node's index in `0..p`.
     pub fn me(&self) -> usize {
         self.me
@@ -170,29 +194,39 @@ impl Session {
     }
 
     /// Blocks for the next DATA payload *from `src`*, parking frames
-    /// from other sources in their per-source queues. Panics on POISON
-    /// (a peer process died) so counted receive loops fail fast.
-    pub fn recv_from(&self, src: usize) -> Vec<u8> {
+    /// from other sources in their per-source queues.
+    ///
+    /// Inbound frames are peer input, so every violation is a typed
+    /// [`BcagError::Protocol`] error rather than a panic: a source
+    /// outside `0..p` (asked for or announced by a frame), a frame kind
+    /// no node should receive, POISON (a peer process died) and a
+    /// closed or failing pipe.
+    pub fn recv_from(&self, src: usize) -> Result<Vec<u8>> {
+        if src >= self.p {
+            return Err(BcagError::Protocol(
+                "receive from a node outside the session",
+            ));
+        }
         let mut io = lock_clean(&self.io);
         if let Some(body) = io.pending[src].pop_front() {
-            return body;
+            return Ok(body);
         }
         loop {
             let frame = match read_frame(&mut io.reader) {
                 Ok(Some(frame)) => frame,
-                Ok(None) => panic!("spmd node {}: launcher closed the pipe", self.me),
-                Err(e) => panic!("spmd node {}: pipe error: {e}", self.me),
+                Ok(None) => return Err(BcagError::Protocol("launcher closed the pipe")),
+                Err(_) => return Err(BcagError::Protocol("pipe read failed mid-frame")),
             };
             match frame.kind {
-                KIND_DATA if frame.src as usize == src => return frame.body,
-                KIND_DATA => io.pending[frame.src as usize].push_back(frame.body),
-                KIND_POISON => {
-                    panic!("spmd node {}: peer node process failed", self.me)
+                KIND_DATA if frame.src as usize >= self.p => {
+                    return Err(BcagError::Protocol(
+                        "frame from a source node outside the session",
+                    ))
                 }
-                kind => panic!(
-                    "spmd node {}: unexpected frame kind {kind} inbound",
-                    self.me
-                ),
+                KIND_DATA if frame.src as usize == src => return Ok(frame.body),
+                KIND_DATA => io.pending[frame.src as usize].push_back(frame.body),
+                KIND_POISON => return Err(BcagError::Protocol("a peer node process failed")),
+                _ => return Err(BcagError::Protocol("unexpected frame kind inbound")),
             }
         }
     }
@@ -228,31 +262,43 @@ impl Session {
         });
     }
 
-    /// Full barrier over all `p` node processes: everyone reports to
-    /// node 0, node 0 releases everyone. Built on DATA frames, so the
-    /// per-source FIFO discipline orders it against surrounding
-    /// statements.
-    pub fn barrier(&self) {
-        if self.me == 0 {
-            for src in 1..self.p {
-                let body = self.recv_from(src);
-                debug_assert_eq!(body, [KIND_DATA], "barrier arrive token");
-            }
-            for dst in 1..self.p {
-                self.send_data(dst, vec![KIND_DATA]);
-            }
-        } else {
-            self.send_data(0, vec![KIND_DATA]);
-            let body = self.recv_from(0);
-            debug_assert_eq!(body, [KIND_DATA], "barrier release token");
-        }
-    }
-
     fn write(&self, frame: Frame) {
         let mut io = lock_clean(&self.io);
         write_frame(&mut io.writer, &frame)
             .unwrap_or_else(|e| panic!("spmd node {}: pipe error: {e}", self.me));
     }
+}
+
+/// In-memory sessions for tests: node `me` of `p` reading `frames`
+/// from its inbound pipe, with its outbound frames collected in a shared
+/// buffer.
+#[cfg(test)]
+pub(crate) fn session_reading(
+    me: usize,
+    p: usize,
+    frames: &[Frame],
+) -> (Session, Arc<Mutex<Vec<u8>>>) {
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            lock_clean(&self.0).write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut inbound = Vec::new();
+    for f in frames {
+        write_frame(&mut inbound, f).expect("in-memory write");
+    }
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let session = Session::over(
+        me,
+        p,
+        Box::new(std::io::Cursor::new(inbound)),
+        Box::new(Sink(Arc::clone(&sent))),
+    );
+    (session, sent)
 }
 
 #[cfg(test)]
@@ -308,36 +354,67 @@ mod tests {
         buf.truncate(buf.len() - 3);
         let mut r = &buf[..];
         assert!(read_frame(&mut r).is_err());
+        // A header claiming a 4 GiB body over a 3-byte stream fails
+        // without reserving the claimed size.
+        let mut lying = vec![KIND_DATA, 0, 0, 0, 0, 1, 0, 0, 0];
+        lying.extend_from_slice(&u32::MAX.to_le_bytes());
+        lying.extend_from_slice(&[1, 2, 3]);
+        let mut r = &lying[..];
+        assert!(read_frame(&mut r).is_err());
+    }
+
+    fn session_reading(p: usize, frames: &[Frame]) -> Session {
+        super::session_reading(0, p, frames).0
+    }
+
+    fn data(src: u32, body: Vec<u8>) -> Frame {
+        Frame {
+            kind: KIND_DATA,
+            src,
+            dst: 0,
+            body,
+        }
     }
 
     #[test]
     fn recv_from_demuxes_by_source() {
-        // Simulate the router's inbound stream: frames from src 2 arrive
-        // before the frame from src 1 that the node asks for first.
-        let mut inbound = Vec::new();
-        for (src, body) in [(2u32, vec![20u8]), (2, vec![21]), (1, vec![10])] {
-            write_frame(
-                &mut inbound,
-                &Frame {
-                    kind: KIND_DATA,
-                    src,
-                    dst: 0,
-                    body,
-                },
-            )
-            .unwrap();
+        // The router's inbound stream: frames from src 2 arrive before
+        // the frame from src 1 that the node asks for first.
+        let session = session_reading(
+            3,
+            &[data(2, vec![20]), data(2, vec![21]), data(1, vec![10])],
+        );
+        assert_eq!(session.recv_from(1).unwrap(), vec![10]);
+        assert_eq!(session.recv_from(2).unwrap(), vec![20]);
+        assert_eq!(session.recv_from(2).unwrap(), vec![21]);
+    }
+
+    #[test]
+    fn hostile_frames_are_protocol_errors() {
+        let protocol = |r: Result<Vec<u8>>| matches!(r, Err(BcagError::Protocol(_)));
+        // A frame announcing a source past the machine size.
+        let s = session_reading(3, &[data(7, vec![1])]);
+        assert!(protocol(s.recv_from(1)));
+        // Asking for a source past the machine size.
+        let s = session_reading(3, &[data(1, vec![1])]);
+        assert!(protocol(s.recv_from(3)));
+        // POISON, an unknown kind, and EOF all fail the receive.
+        for kind in [KIND_POISON, KIND_PRINT, 99] {
+            let frame = Frame {
+                kind,
+                src: 1,
+                dst: 0,
+                body: Vec::new(),
+            };
+            assert!(protocol(session_reading(3, &[frame]).recv_from(1)));
         }
-        let session = Session {
-            me: 0,
-            p: 3,
-            io: Mutex::new(SessionIo {
-                writer: Box::new(Vec::new()),
-                reader: Box::new(std::io::Cursor::new(inbound)),
-                pending: (0..3).map(|_| VecDeque::new()).collect(),
-            }),
-        };
-        assert_eq!(session.recv_from(1), vec![10]);
-        assert_eq!(session.recv_from(2), vec![20]);
-        assert_eq!(session.recv_from(2), vec![21]);
+        assert!(protocol(session_reading(3, &[]).recv_from(2)));
+        // A frame cut off mid-body.
+        let mut cut = Vec::new();
+        write_frame(&mut cut, &data(1, vec![5; 10])).unwrap();
+        cut.truncate(cut.len() - 4);
+        let s = session_reading(3, &[]);
+        lock_clean(&s.io).reader = Box::new(std::io::Cursor::new(cut));
+        assert!(protocol(s.recv_from(1)));
     }
 }

@@ -34,9 +34,9 @@ use super::{Endpoint, Envelope};
 use crate::pool::lock_clean;
 
 /// Slots per directed ring. Power of two; small enough that `p × p`
-/// rings stay cheap at `p = 32`, large enough that the batched executor
-/// (one envelope per (src, dst) pair per statement) never fills a ring
-/// in steady state.
+/// rings stay cheap at `p = 32`, large enough that a fused epoch (one
+/// envelope per message block per (src, dst) pair, at most half the ring
+/// per pair) never fills a ring in steady state.
 pub(crate) const RING_CAP: usize = 64;
 
 /// Consumer-side empty sweeps over all inbound rings before parking,

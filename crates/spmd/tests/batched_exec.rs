@@ -1,28 +1,41 @@
-//! Batched execution vs the sequential oracle and the per-element path.
+//! Fused copies vs the sequential oracle and the schedule's closed forms.
 //!
-//! The batched engine changes *how* elements move (one message per
-//! non-empty (src, dst) pair, in-place self-transfers) but must not change
-//! *what* moves or what the trace counters report. These tests pin all
-//! three: element-for-element agreement with a sequential assignment,
-//! counter-total equality across [`ExecMode`]s, and the exact
-//! messages-sent = non-empty-nonlocal-pairs identity.
+//! A copy `A(sec_a) = B(sec_b)` runs the fused program's copy epoch: one
+//! physical message per non-empty (src, dst ≠ src) pair, self-transfers
+//! in place. These tests pin *what* moves and what the trace counters
+//! report: element-for-element agreement with a sequential assignment,
+//! and counter totals equal to the schedule's closed-form counts
+//! (`total_elements`, `nonlocal_elements`, `nonempty_nonlocal_pairs`,
+//! canonical `wire_size`) on every transport and launch mode.
+
+use std::sync::{Mutex, MutexGuard};
 
 use bcag_core::method::Method;
 use bcag_core::section::RegularSection;
 use bcag_harness::prop;
-use bcag_spmd::{cache, CommSchedule, DistArray, ExecMode, TransportKind};
+use bcag_spmd::comm::wire::wire_size;
+use bcag_spmd::fuse::assign_copy_on;
+use bcag_spmd::pool::LaunchMode;
+use bcag_spmd::{assign_array, cache, CommSchedule, DistArray, ExecMode, TransportKind};
+
+/// Tracing is a process-global switch and the resident pool is shared,
+/// so an untraced copy in a concurrent test would leak counts into a
+/// traced one: every test in this binary runs alone.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Sequential oracle for `A(sec_a) = B(sec_b)` over global index space.
 fn seq_assign(a: &mut [i64], sec_a: &RegularSection, b: &[i64], sec_b: &RegularSection) {
-    let ea: Vec<i64> = sec_a.iter().collect();
-    let eb: Vec<i64> = sec_b.iter().collect();
-    assert_eq!(ea.len(), eb.len());
-    for (ia, ib) in ea.iter().zip(&eb) {
-        a[*ia as usize] = b[*ib as usize];
+    for (ia, ib) in sec_a.iter().zip(sec_b.iter()) {
+        a[ia as usize] = b[ib as usize];
     }
 }
 
-fn random_case(rng: &mut bcag_harness::rng::Rng) -> (i64, i64, i64, i64, i64, i64, i64, i64) {
+type Case = (i64, i64, i64, i64, i64, i64, i64, i64);
+
+fn random_case(rng: &mut bcag_harness::rng::Rng) -> Case {
     let p = rng.random_range(1..=6);
     let k_a = rng.random_range(1..=10);
     let k_b = rng.random_range(1..=10);
@@ -34,148 +47,156 @@ fn random_case(rng: &mut bcag_harness::rng::Rng) -> (i64, i64, i64, i64, i64, i6
     (p, k_a, k_b, c, l_a, s_a, l_b, s_b)
 }
 
+fn sections(&(_, _, _, c, l_a, s_a, l_b, s_b): &Case) -> (RegularSection, RegularSection) {
+    (
+        RegularSection::new(l_a, l_a + s_a * (c - 1), s_a).unwrap(),
+        RegularSection::new(l_b, l_b + s_b * (c - 1), s_b).unwrap(),
+    )
+}
+
 #[test]
-fn batched_execute_matches_sequential_oracle_randomized() {
-    let gen = prop::from_fn(random_case);
+fn copy_matches_sequential_oracle_randomized() {
+    let _serial = serial();
     let cfg = prop::Config {
         cases: 60,
         ..Default::default()
     };
     prop::check_with(
         &cfg,
-        "batched execute == sequential oracle",
-        &gen,
-        |&(p, k_a, k_b, c, l_a, s_a, l_b, s_b)| {
-            let sec_a = RegularSection::new(l_a, l_a + s_a * (c - 1), s_a).unwrap();
-            let sec_b = RegularSection::new(l_b, l_b + s_b * (c - 1), s_b).unwrap();
+        "fused copy == sequential oracle",
+        &prop::from_fn(random_case),
+        |case| {
+            let &(p, k_a, k_b, ..) = case;
+            let (sec_a, sec_b) = sections(case);
             let n_a = sec_a.normalized().hi + 1;
             let n_b = sec_b.normalized().hi + 1;
             let bg: Vec<i64> = (0..n_b).map(|i| 10_000 + 3 * i).collect();
             let b = DistArray::from_global(p, k_b, &bg).unwrap();
-            let sched = CommSchedule::build_lattice(p, k_a, &sec_a, k_b, &sec_b).unwrap();
-
             let mut expect = vec![-1i64; n_a as usize];
             seq_assign(&mut expect, &sec_a, &bg, &sec_b);
-
-            for mode in [ExecMode::Batched, ExecMode::PerElement] {
-                let mut a = DistArray::new(p, k_a, n_a, -1i64).unwrap();
-                sched.execute_with(&mut a, &b, mode).unwrap();
-                assert_eq!(
-                    a.to_global(),
-                    expect,
-                    "mode={} p={p} k_a={k_a} k_b={k_b} sec_a={l_a}:{}:{s_a} sec_b={l_b}:{}:{s_b}",
-                    mode.name(),
-                    sec_a.u,
-                    sec_b.u,
-                );
-            }
+            let mut a = DistArray::new(p, k_a, n_a, -1i64).unwrap();
+            assign_array(&mut a, &sec_a, &b, &sec_b).unwrap();
+            assert_eq!(a.to_global(), expect, "{case:?}");
         },
     );
 }
 
-/// Runs one execution under tracing and returns the counter totals
-/// `(elements_moved, elements_nonlocal, messages_sent, bytes_packed)`.
-fn traced_totals(
-    sched: &CommSchedule,
-    p: i64,
-    k_a: i64,
-    k_b: i64,
-    n_a: i64,
-    n_b: i64,
-    mode: ExecMode,
-) -> (u64, u64, u64, u64) {
-    let bg: Vec<i64> = (0..n_b).collect();
+/// The deterministic counters of one traced copy: `(elements_moved,
+/// elements_nonlocal, messages_sent, bytes_packed, transport_bytes_tx,
+/// transport_bytes_rx)`.
+fn traced_totals(case: &Case, launch: LaunchMode, kind: TransportKind) -> [u64; 6] {
+    let &(p, k_a, k_b, ..) = case;
+    let (sec_a, sec_b) = sections(case);
+    let bg: Vec<i64> = (0..=sec_b.normalized().hi).collect();
     let b = DistArray::from_global(p, k_b, &bg).unwrap();
-    let mut a = DistArray::new(p, k_a, n_a, 0i64).unwrap();
-    let (result, trace) = bcag_trace::capture(|| sched.execute_with(&mut a, &b, mode));
+    let mut a = DistArray::new(p, k_a, sec_a.normalized().hi + 1, 0i64).unwrap();
+    let (result, trace) =
+        bcag_trace::capture(|| assign_copy_on(&mut a, &sec_a, &b, &sec_b, launch, kind));
     result.unwrap();
-    (
-        trace.counter_total("elements_moved"),
-        trace.counter_total("elements_nonlocal"),
-        trace.counter_total("messages_sent"),
-        trace.counter_total("bytes_packed"),
-    )
+    [
+        "elements_moved",
+        "elements_nonlocal",
+        "messages_sent",
+        "bytes_packed",
+        "transport_bytes_tx",
+        "transport_bytes_rx",
+    ]
+    .map(|name| trace.counter_total(name))
+}
+
+/// The same six totals in closed form, straight from the schedule.
+fn closed_form(case: &Case) -> [u64; 6] {
+    let &(p, k_a, k_b, ..) = case;
+    let (sec_a, sec_b) = sections(case);
+    let sched = CommSchedule::build_lattice(p, k_a, &sec_a, k_b, &sec_b).unwrap();
+    let total = sched.total_elements() as u64;
+    let mut wire = 0u64;
+    for src in 0..p {
+        for dst in (0..p).filter(|&d| d != src) {
+            let n = sched.transfers(src, dst).len();
+            if n > 0 {
+                wire += wire_size::<i64>(sched.transfer_runs(src, dst).len(), n) as u64;
+            }
+        }
+    }
+    [
+        total,
+        sched.nonlocal_elements() as u64,
+        sched.nonempty_nonlocal_pairs() as u64,
+        total * std::mem::size_of::<i64>() as u64,
+        wire,
+        wire,
+    ]
 }
 
 #[test]
-fn counter_totals_are_mode_independent_randomized() {
-    let gen = prop::from_fn(random_case);
+fn counter_totals_equal_closed_forms_randomized() {
+    let _serial = serial();
     let cfg = prop::Config {
         cases: 30,
         ..Default::default()
     };
     prop::check_with(
         &cfg,
-        "trace counter totals unchanged by batching",
-        &gen,
-        |&(p, k_a, k_b, c, l_a, s_a, l_b, s_b)| {
-            let sec_a = RegularSection::new(l_a, l_a + s_a * (c - 1), s_a).unwrap();
-            let sec_b = RegularSection::new(l_b, l_b + s_b * (c - 1), s_b).unwrap();
-            let n_a = sec_a.normalized().hi + 1;
-            let n_b = sec_b.normalized().hi + 1;
-            let sched = CommSchedule::build_lattice(p, k_a, &sec_a, k_b, &sec_b).unwrap();
-            let batched = traced_totals(&sched, p, k_a, k_b, n_a, n_b, ExecMode::Batched);
-            let per_elem = traced_totals(&sched, p, k_a, k_b, n_a, n_b, ExecMode::PerElement);
-            assert_eq!(batched, per_elem, "p={p} k_a={k_a} k_b={k_b}");
+        "traced counter totals == schedule closed forms",
+        &prop::from_fn(random_case),
+        |case| {
+            let want = closed_form(case);
+            for kind in TransportKind::ALL {
+                for launch in [LaunchMode::Pooled, LaunchMode::Scoped] {
+                    assert_eq!(
+                        traced_totals(case, launch, kind),
+                        want,
+                        "{} {} {case:?}",
+                        kind.name(),
+                        launch.name()
+                    );
+                }
+            }
         },
     );
 }
 
 #[test]
 fn messages_sent_equals_nonempty_nonlocal_pairs() {
-    // Pinned identity: the batched engine sends exactly one message per
-    // non-empty (src, dst != src) pair, and the counter records exactly
-    // that — no more, no fewer.
-    for (p, k_a, k_b, la, lb, s_a, s_b, count) in [
-        (4i64, 8i64, 3i64, 2i64, 1i64, 4i64, 4i64, 58i64),
-        (3, 5, 5, 0, 0, 1, 1, 100),
-        (2, 4, 8, 7, 3, 9, 5, 40),
-        (5, 2, 3, 0, 11, 13, 2, 77),
-        (4, 8, 8, 0, 0, 1, 1, 256), // identity copy: zero messages
+    let _serial = serial();
+    // Pinned identity: one logical message per non-empty
+    // (src, dst != src) pair, and the counter records exactly that.
+    for case in [
+        (4i64, 8i64, 3i64, 58i64, 2i64, 4i64, 1i64, 4i64),
+        (3, 5, 5, 100, 0, 1, 0, 1),
+        (2, 4, 8, 40, 7, 9, 3, 5),
+        (5, 2, 3, 77, 0, 13, 11, 2),
+        (4, 8, 8, 256, 0, 1, 0, 1), // identity copy: zero messages
     ] {
-        let sec_a = RegularSection::new(la, la + (count - 1) * s_a, s_a).unwrap();
-        let sec_b = RegularSection::new(lb, lb + (count - 1) * s_b, s_b).unwrap();
-        let n_a = sec_a.normalized().hi + 1;
-        let n_b = sec_b.normalized().hi + 1;
-        let sched = CommSchedule::build_lattice(p, k_a, &sec_a, k_b, &sec_b).unwrap();
-        let (_, _, messages, _) = traced_totals(&sched, p, k_a, k_b, n_a, n_b, ExecMode::Batched);
-        assert_eq!(
-            messages,
-            sched.nonempty_nonlocal_pairs() as u64,
-            "p={p} k_a={k_a} k_b={k_b}"
-        );
+        let messages = traced_totals(&case, LaunchMode::Pooled, TransportKind::Mpsc)[2];
+        assert_eq!(messages, closed_form(&case)[2], "{case:?}");
     }
 }
 
 #[test]
 fn schedule_cache_counters_are_traced() {
+    let _serial = serial();
     // Key shapes unique to this test so the first lookup is a miss and the
     // second a hit, regardless of what other tests in this process did.
     let sec_a = RegularSection::new(5, 1930, 35).unwrap();
     let sec_b = RegularSection::new(9, 1934, 35).unwrap();
+    let lookup = || {
+        cache::schedule(
+            4,
+            14,
+            &sec_a,
+            15,
+            &sec_b,
+            Method::Lattice,
+            ExecMode::Batched,
+            TransportKind::Mpsc,
+        )
+        .unwrap()
+    };
     let ((), trace) = bcag_trace::capture(|| {
-        let first = cache::schedule(
-            4,
-            14,
-            &sec_a,
-            15,
-            &sec_b,
-            Method::Lattice,
-            ExecMode::Batched,
-            TransportKind::Mpsc,
-        )
-        .unwrap();
-        let second = cache::schedule(
-            4,
-            14,
-            &sec_a,
-            15,
-            &sec_b,
-            Method::Lattice,
-            ExecMode::Batched,
-            TransportKind::Mpsc,
-        )
-        .unwrap();
+        let first = lookup();
+        let second = lookup();
         assert!(std::sync::Arc::ptr_eq(&first, &second));
     });
     assert_eq!(trace.counter_total("schedule_cache_misses"), 1);

@@ -1,31 +1,20 @@
-//! Randomized differential suite: fused epochs vs the interpreted path.
+//! Randomized suite: fused epochs vs the sequential global-index oracle.
 //!
-//! [`bcag_spmd::fuse`] promises bit-exact results with the interpreted
-//! gather/compute statement executor. These properties draw random
-//! statement shapes — machine size, block sizes, sections, operand
-//! count, transport, launch mode — run both executors on identical
-//! inputs and compare the full global images bit for bit (`f64` compares
-//! `to_bits`, so `-0.0`/`NaN` drift would fail too). A panicking
-//! statement body then checks the poison protocol clears a fused epoch
-//! the same way it clears an interpreted one.
-
-use std::sync::Mutex;
+//! These properties draw random statement shapes — machine size, block
+//! sizes, sections, operand count, transport, launch mode — run the
+//! fused statement and compare the full global image bit for bit (`f64`
+//! compares `to_bits`, so `-0.0`/`NaN` drift would fail too) with a
+//! sequential evaluation of the statement over global indices.
+//! One-operand shapes also run as copies. A panicking statement body
+//! then checks the poison protocol clears a fused epoch and leaves the
+//! pool reusable.
 
 use bcag_core::section::RegularSection;
 use bcag_harness::prop::{self, Config};
 use bcag_harness::rng::Rng;
-use bcag_spmd::fuse::assign_fused_on;
+use bcag_spmd::fuse::{assign_copy_on, assign_fused_on};
 use bcag_spmd::pool::LaunchMode;
-use bcag_spmd::{assign_expr, set_default_fused, DistArray, FusedMode, TransportKind};
-
-/// The fused-mode default is process-global and the interpreted
-/// reference runs need it `Off`; every test here flips it, so they
-/// serialize on this lock (other test binaries are separate processes).
-static FUSE_FLAG: Mutex<()> = Mutex::new(());
-
-fn lock_flag() -> std::sync::MutexGuard<'static, ()> {
-    FUSE_FLAG.lock().unwrap_or_else(|e| e.into_inner())
-}
+use bcag_spmd::{DistArray, TransportKind};
 
 /// One random statement shape.
 #[derive(Debug, Clone)]
@@ -74,9 +63,29 @@ fn random_case(rng: &mut Rng) -> Case {
     }
 }
 
-/// Runs one case through both executors over element type `T` and
-/// compares the resulting global images with `eq`.
-fn differential<T, F>(
+/// The sequential reference: `A(sec_a) = f(ops…)` evaluated rank by
+/// rank over plain global arrays.
+fn oracle<T: Clone>(
+    base: &[T],
+    sec_a: &RegularSection,
+    ops: &[(Vec<T>, RegularSection)],
+    f: impl Fn(&[T]) -> T,
+) -> Vec<T> {
+    let mut out = base.to_vec();
+    for t in 0..sec_a.count() {
+        let args: Vec<T> = ops
+            .iter()
+            .map(|(g, s)| g[(s.l + t * s.s) as usize].clone())
+            .collect();
+        out[(sec_a.l + t * sec_a.s) as usize] = f(&args);
+    }
+    out
+}
+
+/// Runs one case through the fused statement over element type `T` and
+/// compares the resulting global image with the oracle's using `eq`;
+/// one-operand cases also run as a copy.
+fn against_oracle<T, F>(
     case: &Case,
     value: impl Fn(i64, usize) -> T,
     f: F,
@@ -86,22 +95,30 @@ fn differential<T, F>(
     F: Fn(&[T]) -> T + Sync + Copy,
 {
     let base: Vec<T> = (0..case.n).map(|i| value(i, 0)).collect();
-    let mut fused = DistArray::from_global(case.p, case.k_a, &base).unwrap();
-    let op_arrays: Vec<DistArray<T>> = case
+    let globals: Vec<(Vec<T>, RegularSection)> = case
         .ops
         .iter()
         .enumerate()
-        .map(|(j, (k_b, _))| {
-            let vals: Vec<T> = (0..case.n).map(|i| value(i, j + 1)).collect();
-            DistArray::from_global(case.p, *k_b, &vals).unwrap()
-        })
+        .map(|(j, (_, s))| ((0..case.n).map(|i| value(i, j + 1)).collect(), *s))
+        .collect();
+    let op_arrays: Vec<DistArray<T>> = case
+        .ops
+        .iter()
+        .zip(&globals)
+        .map(|((k_b, _), (g, _))| DistArray::from_global(case.p, *k_b, g).unwrap())
         .collect();
     let operands: Vec<(&DistArray<T>, RegularSection)> = op_arrays
         .iter()
         .zip(&case.ops)
         .map(|(a, (_, s))| (a, *s))
         .collect();
-    let mut interp = fused.clone();
+    let same = |got: &[T], want: &[T], what: &str| {
+        assert!(
+            got.len() == want.len() && got.iter().zip(want).all(|(a, b)| eq(a, b)),
+            "{what} diverges from the oracle\n got:  {got:?}\n want: {want:?}"
+        );
+    };
+    let mut fused = DistArray::from_global(case.p, case.k_a, &base).unwrap();
     assign_fused_on(
         &mut fused,
         &case.sec_a,
@@ -111,22 +128,23 @@ fn differential<T, F>(
         case.kind,
     )
     .unwrap();
-    set_default_fused(FusedMode::Off);
-    let r = assign_expr(&mut interp, &case.sec_a, &operands, f);
-    set_default_fused(FusedMode::On);
-    r.unwrap();
-    let (fg, ig) = (fused.to_global(), interp.to_global());
-    assert!(
-        fg.len() == ig.len() && fg.iter().zip(&ig).all(|(a, b)| eq(a, b)),
-        "fused image diverges from interpreted\n fused:  {fg:?}\n interp: {ig:?}"
+    same(
+        &fused.to_global(),
+        &oracle(&base, &case.sec_a, &globals, f),
+        "expression",
     );
+    if let [(b, sec_b)] = operands[..] {
+        let mut copied = DistArray::from_global(case.p, case.k_a, &base).unwrap();
+        assign_copy_on(&mut copied, &case.sec_a, b, &sec_b, case.launch, case.kind).unwrap();
+        let want = oracle(&base, &case.sec_a, &globals, |v: &[T]| v[0].clone());
+        same(&copied.to_global(), &want, "copy");
+    }
 }
 
 #[test]
-fn fused_matches_interpreted_f64() {
-    let _serial = lock_flag();
-    prop::check("fuse-diff-f64", &prop::from_fn(random_case), |case| {
-        differential(
+fn fused_matches_oracle_f64() {
+    prop::check("fuse-oracle-f64", &prop::from_fn(random_case), |case| {
+        against_oracle(
             case,
             |i, j| ((i * 7 + 13 * j as i64) % 113) as f64 * 0.25 - 3.5,
             |args: &[f64]| {
@@ -142,24 +160,28 @@ fn fused_matches_interpreted_f64() {
 }
 
 #[test]
-fn fused_matches_interpreted_i64() {
-    let _serial = lock_flag();
+fn fused_matches_oracle_i64() {
     let cfg = Config {
         cases: 64,
         ..Config::default()
     };
-    prop::check_with(&cfg, "fuse-diff-i64", &prop::from_fn(random_case), |case| {
-        differential(
-            case,
-            |i, j| i * 31 + 7 * j as i64 - 11,
-            |args: &[i64]| {
-                args.iter().enumerate().fold(5i64, |acc, (j, v)| {
-                    acc.wrapping_mul(3).wrapping_add(v * (j as i64 + 1))
-                })
-            },
-            |a: &i64, b: &i64| a == b,
-        );
-    });
+    prop::check_with(
+        &cfg,
+        "fuse-oracle-i64",
+        &prop::from_fn(random_case),
+        |case| {
+            against_oracle(
+                case,
+                |i, j| i * 31 + 7 * j as i64 - 11,
+                |args: &[i64]| {
+                    args.iter().enumerate().fold(5i64, |acc, (j, v)| {
+                        acc.wrapping_mul(3).wrapping_add(v * (j as i64 + 1))
+                    })
+                },
+                |a: &i64, b: &i64| a == b,
+            );
+        },
+    );
 }
 
 /// `String` payloads have no fixed wire size (`WIRE_BYTES` is `None`),
@@ -167,18 +189,17 @@ fn fused_matches_interpreted_i64() {
 /// including the serializing `proc` fabric, where the wire fast path
 /// must correctly step aside.
 #[test]
-fn fused_matches_interpreted_strings() {
-    let _serial = lock_flag();
+fn fused_matches_oracle_strings() {
     let cfg = Config {
         cases: 24,
         ..Config::default()
     };
     prop::check_with(
         &cfg,
-        "fuse-diff-string",
+        "fuse-oracle-string",
         &prop::from_fn(random_case),
         |case| {
-            differential(
+            against_oracle(
                 case,
                 |i, j| format!("v{j}.{i}"),
                 |args: &[String]| {
@@ -201,7 +222,6 @@ fn fused_matches_interpreted_strings() {
 /// the very next fused statement on the same machine must run correctly.
 #[test]
 fn panic_poison_recovers_through_a_fused_epoch() {
-    let _serial = lock_flag();
     let n = 120i64;
     let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let sec = RegularSection::new(0, n - 1, 1).unwrap();
@@ -253,10 +273,9 @@ fn panic_poison_recovers_through_a_fused_epoch() {
 }
 
 /// The fused path must snapshot operands before writing (`A = shift(A)`
-/// through the same array), exactly like the interpreted staging copy.
+/// through the same array): every read sees the pre-statement value.
 #[test]
 fn fused_self_assignment_snapshots() {
-    let _serial = lock_flag();
     let n = 100i64;
     let data: Vec<i64> = (0..n).collect();
     let mut a = DistArray::from_global(4, 4, &data).unwrap();

@@ -2,12 +2,13 @@
 //!
 //! [`LaunchMode::Pooled`] changes *where* node programs run (resident
 //! worker threads fed through a dispatch/epoch barrier) but must not
-//! change anything observable: array contents and every deterministic
-//! trace counter total have to match the per-call `thread::scope` path
-//! exactly. These tests pin that over randomized layouts and a rotating
-//! set of payload types, and check that a panicking node program poisons
-//! the epoch cleanly — re-raised on the dispatcher, pool still usable —
-//! instead of hanging the fabric.
+//! change anything observable: array contents must equal the sequential
+//! oracle and every deterministic trace counter total must match the
+//! per-call `thread::scope` path exactly. These tests pin that for fused
+//! copies over randomized layouts and a rotating set of payload types,
+//! and check that a panicking node program poisons the epoch cleanly —
+//! re-raised on the dispatcher, pool still usable — instead of hanging
+//! the fabric.
 //!
 //! Timing counters (`*_ns`) and `pool_buffer_reuses` are deliberately
 //! excluded from the comparison: wall-clock differs per run, and arena
@@ -15,10 +16,19 @@
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard};
 
 use bcag_core::section::RegularSection;
 use bcag_harness::prop;
-use bcag_spmd::{CommSchedule, DistArray, ExecMode, LaunchMode, Machine, PackValue};
+use bcag_spmd::fuse::assign_copy_on;
+use bcag_spmd::{assign_array, DistArray, LaunchMode, Machine, PackValue, TransportKind};
+
+/// Tracing is process-global and the pool is shared: tests that trace
+/// or poison the pool run alone.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// `(p, k_a, k_b, count, l_a, s_a, l_b, s_b, type_sel)`.
 type Case = (i64, i64, i64, i64, i64, i64, i64, i64, i64);
@@ -43,13 +53,11 @@ type Totals = (u64, u64, u64, u64);
 /// Runs `A(sec_a) = B(sec_b)` once under `launch` and returns the final
 /// global contents plus the deterministic counter totals.
 fn run_once<T, F>(
-    sched: &CommSchedule,
     p: i64,
     k_a: i64,
     k_b: i64,
     sec_a: &RegularSection,
     sec_b: &RegularSection,
-    mode: ExecMode,
     launch: LaunchMode,
     make: &F,
 ) -> (Vec<T>, Totals)
@@ -62,7 +70,9 @@ where
     let bg: Vec<T> = (0..n_b).map(make).collect();
     let b = DistArray::from_global(p, k_b, &bg).unwrap();
     let mut a = DistArray::new(p, k_a, n_a, make(-1)).unwrap();
-    let (result, trace) = bcag_trace::capture(|| sched.execute_launched(&mut a, &b, mode, launch));
+    let kind = TransportKind::Mpsc;
+    let (result, trace) =
+        bcag_trace::capture(|| assign_copy_on(&mut a, sec_a, &b, sec_b, launch, kind));
     result.unwrap();
     (
         a.to_global(),
@@ -75,8 +85,8 @@ where
     )
 }
 
-/// Scoped execution is the oracle; pooled must match it bit for bit in
-/// contents and in every deterministic counter, for both exec modes.
+/// Both launch modes must reproduce the sequential oracle's contents,
+/// and pooled must match scoped in every deterministic counter.
 fn check_case<T, F>(case: &Case, make: F)
 where
     T: PackValue + Debug + PartialEq,
@@ -85,43 +95,26 @@ where
     let &(p, k_a, k_b, c, l_a, s_a, l_b, s_b, _) = case;
     let sec_a = RegularSection::new(l_a, l_a + s_a * (c - 1), s_a).unwrap();
     let sec_b = RegularSection::new(l_b, l_b + s_b * (c - 1), s_b).unwrap();
-    let sched = CommSchedule::build_lattice(p, k_a, &sec_a, k_b, &sec_b).unwrap();
-    for mode in [ExecMode::Batched, ExecMode::PerElement] {
-        let (scoped_g, scoped_totals) = run_once(
-            &sched,
-            p,
-            k_a,
-            k_b,
-            &sec_a,
-            &sec_b,
-            mode,
-            LaunchMode::Scoped,
-            &make,
-        );
-        let (pooled_g, pooled_totals) = run_once(
-            &sched,
-            p,
-            k_a,
-            k_b,
-            &sec_a,
-            &sec_b,
-            mode,
-            LaunchMode::Pooled,
-            &make,
-        );
-        let ctx = format!(
-            "mode={} p={p} k_a={k_a} k_b={k_b} sec_a={l_a}:{}:{s_a} sec_b={l_b}:{}:{s_b}",
-            mode.name(),
-            sec_a.u,
-            sec_b.u,
-        );
-        assert_eq!(pooled_g, scoped_g, "contents diverged: {ctx}");
-        assert_eq!(pooled_totals, scoped_totals, "counters diverged: {ctx}");
+    let mut want: Vec<T> = (0..=sec_a.normalized().hi).map(|_| make(-1)).collect();
+    for (ia, ib) in sec_a.iter().zip(sec_b.iter()) {
+        want[ia as usize] = make(ib);
     }
+    let (scoped_g, scoped_totals) =
+        run_once(p, k_a, k_b, &sec_a, &sec_b, LaunchMode::Scoped, &make);
+    let (pooled_g, pooled_totals) =
+        run_once(p, k_a, k_b, &sec_a, &sec_b, LaunchMode::Pooled, &make);
+    let ctx = format!(
+        "p={p} k_a={k_a} k_b={k_b} sec_a={l_a}:{}:{s_a} sec_b={l_b}:{}:{s_b}",
+        sec_a.u, sec_b.u,
+    );
+    assert_eq!(scoped_g, want, "scoped contents diverged: {ctx}");
+    assert_eq!(pooled_g, want, "pooled contents diverged: {ctx}");
+    assert_eq!(pooled_totals, scoped_totals, "counters diverged: {ctx}");
 }
 
 #[test]
 fn pooled_matches_scoped_oracle_randomized() {
+    let _serial = serial();
     let gen = prop::from_fn(random_case);
     let cfg = prop::Config {
         cases: 60,
@@ -129,7 +122,7 @@ fn pooled_matches_scoped_oracle_randomized() {
     };
     prop::check_with(
         &cfg,
-        "pooled == scoped (contents + counter totals)",
+        "pooled == scoped == oracle (contents + counter totals)",
         &gen,
         |case| match case.8 {
             0 => check_case(case, |i| 10_000 + 3 * i),
@@ -143,6 +136,7 @@ fn pooled_matches_scoped_oracle_randomized() {
 
 #[test]
 fn pooled_matches_scoped_on_degenerate_layouts() {
+    let _serial = serial();
     // Edge shapes the generator rarely hits: single node, k = 1 fine
     // cyclic, one giant block, single-element sections.
     for case in [
@@ -157,6 +151,7 @@ fn pooled_matches_scoped_on_degenerate_layouts() {
 
 #[test]
 fn panic_in_pooled_node_is_reraised_and_pool_survives() {
+    let _serial = serial();
     let machine = Machine::with_pool(3);
     let unwound = catch_unwind(AssertUnwindSafe(|| {
         machine.run_collect(|m| {
@@ -182,24 +177,17 @@ fn panic_in_pooled_node_is_reraised_and_pool_survives() {
 }
 
 #[test]
-fn panic_mid_exchange_does_not_hang_per_element_receives() {
-    // A node program that dies before sending what a peer is counting on:
-    // the peer's typed receive must abort via the poison check instead of
-    // blocking forever. Machine-level statement: node 0 panics while node
-    // 1 waits on it through a comm schedule executed inside the pool.
+fn fused_copies_run_on_a_pool_recovered_from_poison() {
+    // A node program that dies mid-epoch poisons the pool; the very next
+    // fused copy through the same resident pool must complete exactly.
+    let _serial = serial();
     let sec = RegularSection::new(0, 59, 1).unwrap();
-    let sched = CommSchedule::build_lattice(2, 3, &sec, 7, &sec).unwrap();
     let bg: Vec<i64> = (0..60).collect();
     let b = DistArray::from_global(2, 7, &bg).unwrap();
     let mut a = DistArray::new(2, 3, 60, 0i64).unwrap();
-    // Sanity: the schedule itself executes fine pooled, per-element.
-    sched
-        .execute_launched(&mut a, &b, ExecMode::PerElement, LaunchMode::Pooled)
-        .unwrap();
+    assign_array(&mut a, &sec, &b, &sec).unwrap();
     assert_eq!(a.to_global(), bg);
 
-    // Now poison an epoch on the same pool and re-run: the pool must have
-    // recovered fully for the per-element protocol to complete again.
     let machine = Machine::with_pool(2);
     let unwound = catch_unwind(AssertUnwindSafe(|| {
         machine.run_collect(|m| {
@@ -211,8 +199,6 @@ fn panic_mid_exchange_does_not_hang_per_element_receives() {
     }));
     assert!(unwound.is_err());
     let mut a2 = DistArray::new(2, 3, 60, 0i64).unwrap();
-    sched
-        .execute_launched(&mut a2, &b, ExecMode::PerElement, LaunchMode::Pooled)
-        .unwrap();
+    assign_array(&mut a2, &sec, &b, &sec).unwrap();
     assert_eq!(a2.to_global(), bg);
 }

@@ -1,6 +1,6 @@
 //! Trace counters vs closed forms.
 //!
-//! The instrumentation in `comm.rs` and `pack.rs` counts what the node
+//! The instrumentation in `fuse.rs` and `pack.rs` counts what the node
 //! programs *actually do*; the stats module computes the same quantities in
 //! closed form without running anything. These tests pin the two together:
 //! every traced total must equal its closed-form twin exactly.
@@ -10,9 +10,9 @@ use bcag_core::section::RegularSection;
 use bcag_harness::prop;
 use bcag_spmd::pack::pack;
 use bcag_spmd::stats::{comm_stats, load_stats, per_node_packed_from_trace};
-use bcag_spmd::{CommSchedule, DistArray, Machine};
+use bcag_spmd::{assign_array, CommSchedule, DistArray, Machine};
 
-/// Executes `A(sec_a) = B(sec_b)` under tracing and checks every counter
+/// Copies `A(sec_a) = B(sec_b)` under tracing and checks every counter
 /// total against the schedule's closed forms.
 fn check_execute_counters(
     p: i64,
@@ -28,7 +28,7 @@ fn check_execute_counters(
     let b = DistArray::from_global(p, k_b, &src).unwrap();
     let mut a = DistArray::new(p, k_a, n_a.max(1), 0.0f64).unwrap();
 
-    let (result, trace) = bcag_trace::capture(|| sched.execute(&mut a, &b));
+    let (result, trace) = bcag_trace::capture(|| assign_array(&mut a, sec_a, &b, sec_b));
     result.unwrap();
 
     let total = sched.total_elements() as u64;
@@ -61,11 +61,10 @@ fn execute_counters_match_closed_forms_worked_example() {
 fn execute_counters_match_closed_forms_identity_copy() {
     // Same layout, same section: everything local, zero messages.
     let sec = RegularSection::new(0, 255, 1).unwrap();
-    let sched = CommSchedule::build_lattice(4, 8, &sec, 8, &sec).unwrap();
     let src: Vec<i64> = (0..256).collect();
     let b = DistArray::from_global(4, 8, &src).unwrap();
     let mut a = DistArray::new(4, 8, 256, 0i64).unwrap();
-    let (result, trace) = bcag_trace::capture(|| sched.execute(&mut a, &b));
+    let (result, trace) = bcag_trace::capture(|| assign_array(&mut a, &sec, &b, &sec));
     result.unwrap();
     assert_eq!(trace.counter_total("elements_moved"), 256);
     assert_eq!(trace.counter_total("elements_nonlocal"), 0);

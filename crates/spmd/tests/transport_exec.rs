@@ -1,8 +1,8 @@
 //! Cross-backend equivalence of the transport fabrics.
 //!
 //! The pluggable transports (`mpsc`, `shm`, `proc`) must be perfectly
-//! interchangeable: identical array contents after any schedule
-//! execution, and identical deterministic counter totals — the
+//! interchangeable: identical array contents after any fused copy, and
+//! identical deterministic counter totals — the
 //! transport byte counters are charged at the canonical wire size on
 //! every backend precisely so this holds. This suite drives a
 //! randomized sweep of layouts and payload types over all three
@@ -12,8 +12,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bcag_core::section::RegularSection;
+use bcag_spmd::fuse::assign_copy_on;
 use bcag_spmd::pool::{self, LaunchMode};
-use bcag_spmd::{CommSchedule, DistArray, ExecMode, TransportKind};
+use bcag_spmd::{DistArray, TransportKind};
 
 /// xorshift64*: deterministic layout generator, no dependencies.
 struct Rng(u64);
@@ -80,20 +81,18 @@ fn run_one<T: bcag_spmd::PackValue + PartialEq + std::fmt::Debug>(
     fill: &T,
     b_global: &[T],
 ) -> (Vec<T>, Vec<u64>) {
-    let schedule = CommSchedule::build_lattice(
-        layout.p,
-        layout.k_a,
-        &layout.sec_a,
-        layout.k_b,
-        &layout.sec_b,
-    )
-    .unwrap();
     let mut a = DistArray::new(layout.p, layout.k_a, layout.n_a, fill.clone()).unwrap();
     let b = DistArray::from_global(layout.p, layout.k_b, b_global).unwrap();
     let ((), trace) = bcag_trace::capture(|| {
-        schedule
-            .execute_transport(&mut a, &b, ExecMode::Batched, LaunchMode::Pooled, kind)
-            .unwrap();
+        assign_copy_on(
+            &mut a,
+            &layout.sec_a,
+            &b,
+            &layout.sec_b,
+            LaunchMode::Pooled,
+            kind,
+        )
+        .unwrap();
     });
     let totals = DETERMINISTIC
         .iter()

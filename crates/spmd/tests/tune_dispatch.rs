@@ -6,9 +6,10 @@
 //! modes. These properties draw random layouts and sections, run the
 //! tuned path against forced `Runs` and forced `PerElement` (pack and
 //! unpack, element types of three widths), run whole statements under
-//! `TuneMode::Auto` vs `TuneMode::Fixed` across transports and both
-//! executors, force blocking with a shrunken L2 on a >L2 transfer, and
-//! pin the decision function's determinism (the cache-safety property).
+//! `TuneMode::Auto` vs `TuneMode::Fixed` across transports against the
+//! sequential oracle, force blocking with a shrunken L2 on a >L2
+//! transfer, and pin the decision function's determinism (the
+//! cache-safety property).
 
 use std::sync::Mutex;
 
@@ -21,9 +22,9 @@ use bcag_harness::rng::Rng;
 use bcag_spmd::fuse::{self, assign_fused_on};
 use bcag_spmd::pack::{pack_with_buf_mode, unpack_mode, PackMode};
 use bcag_spmd::pool::LaunchMode;
-use bcag_spmd::{assign_expr, set_default_fused, DistArray, FusedMode, TransportKind};
+use bcag_spmd::{DistArray, TransportKind};
 
-/// The tune/fuse defaults and the resolved L2 size are process-global;
+/// The tune default and the resolved L2 size are process-global;
 /// every test that flips one serializes on this lock (other test
 /// binaries are separate processes).
 static TUNE_LOCK: Mutex<()> = Mutex::new(());
@@ -183,40 +184,42 @@ fn random_stmt_case(rng: &mut Rng) -> StmtCase {
     }
 }
 
-/// Runs `A(sec_a) = 2·B(sec_b) + 0.25` under one tune mode through the
-/// given executor and returns the global image.
-fn run_stmt(case: &StmtCase, mode: TuneMode, fused: bool) -> Vec<f64> {
-    let base: Vec<f64> = (0..case.n)
+/// The statement's inputs: the LHS image before it runs, and `B`.
+fn stmt_inputs(case: &StmtCase) -> (Vec<f64>, Vec<f64>) {
+    let base = (0..case.n)
         .map(|i| (i * 7 % 97) as f64 * 0.5 - 9.0)
         .collect();
+    let b = (0..case.n).map(|i| (i * 11 % 89) as f64 * 0.25).collect();
+    (base, b)
+}
+
+fn body(args: &[f64]) -> f64 {
+    2.0 * args[0] + 0.25
+}
+
+/// Runs `A(sec_a) = 2·B(sec_b) + 0.25` under one tune mode and returns
+/// the global image.
+fn run_stmt(case: &StmtCase, mode: TuneMode) -> Vec<f64> {
+    let (base, b_vals) = stmt_inputs(case);
     let mut a = DistArray::from_global(case.p, case.k_a, &base).unwrap();
-    let b_vals: Vec<f64> = (0..case.n).map(|i| (i * 11 % 89) as f64 * 0.25).collect();
     let b = DistArray::from_global(case.p, case.k_b, &b_vals).unwrap();
-    let f = |args: &[f64]| 2.0 * args[0] + 0.25;
     with_tune(mode, || {
-        if fused {
-            assign_fused_on(
-                &mut a,
-                &case.sec_a,
-                &[(&b, case.sec_b)],
-                f,
-                LaunchMode::Pooled,
-                case.kind,
-            )
-            .unwrap();
-        } else {
-            set_default_fused(FusedMode::Off);
-            let r = assign_expr(&mut a, &case.sec_a, &[(&b, case.sec_b)], f);
-            set_default_fused(FusedMode::On);
-            r.unwrap();
-        }
+        assign_fused_on(
+            &mut a,
+            &case.sec_a,
+            &[(&b, case.sec_b)],
+            body,
+            LaunchMode::Pooled,
+            case.kind,
+        )
+        .unwrap();
     });
     a.to_global()
 }
 
-/// Whole statements — fused and interpreted — must compute bit-equal
-/// images whether the tuner is honored (`Auto`) or the historical fixed
-/// defaults run (`Fixed`), on every transport.
+/// Whole statements must compute the oracle's image bit for bit whether
+/// the tuner is honored (`Auto`) or the historical fixed defaults run
+/// (`Fixed`), on every transport.
 #[test]
 fn tuned_statements_match_fixed_dispatch() {
     let _serial = lock_tune();
@@ -230,17 +233,14 @@ fn tuned_statements_match_fixed_dispatch() {
         &prop::from_fn(random_stmt_case),
         |case| {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let fixed_fused = run_stmt(case, TuneMode::Fixed, true);
-            let auto_fused = run_stmt(case, TuneMode::Auto, true);
-            assert_eq!(bits(&fixed_fused), bits(&auto_fused), "fused: {case:?}");
-            let fixed_interp = run_stmt(case, TuneMode::Fixed, false);
-            let auto_interp = run_stmt(case, TuneMode::Auto, false);
-            assert_eq!(bits(&fixed_interp), bits(&auto_interp), "interp: {case:?}");
-            assert_eq!(
-                bits(&fixed_fused),
-                bits(&fixed_interp),
-                "fused vs interp: {case:?}"
-            );
+            let (mut want, b) = stmt_inputs(case);
+            for (ia, ib) in case.sec_a.iter().zip(case.sec_b.iter()) {
+                want[ia as usize] = body(&[b[ib as usize]]);
+            }
+            let fixed = run_stmt(case, TuneMode::Fixed);
+            let auto = run_stmt(case, TuneMode::Auto);
+            assert_eq!(bits(&fixed), bits(&want), "fixed vs oracle: {case:?}");
+            assert_eq!(bits(&auto), bits(&want), "auto vs oracle: {case:?}");
         },
     );
 }

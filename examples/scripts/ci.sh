@@ -84,22 +84,17 @@ else
     echo "--> single hardware thread: skipping multi-core cache contention floor"
 fi
 
-# Fused-epoch SLO gates, also on the committed full-profile snapshot:
-# the fused statement compiler must beat the interpreted path by its
-# committed factor and stay within its committed ceiling of hand-coded
-# BLAS-1.
+# Fused-epoch SLO gate, also on the committed full-profile snapshot:
+# the fused axpy statement must stay within its committed ceiling of
+# hand-coded BLAS-1.
 [ -s BENCH_fuse.json ] \
     || { echo "missing committed BENCH_fuse.json snapshot" >&2; exit 1; }
 awk '
-    $1 == "\"fused_over_interpreted\":"     { gsub(/[^0-9.]/, "", $2); speedup = $2 }
-    $1 == "\"min_fused_over_interpreted\":" { gsub(/[^0-9.]/, "", $2); floor = $2 }
     $1 == "\"fused_vs_blas1\":"             { gsub(/[^0-9.]/, "", $2); vsblas = $2 }
     $1 == "\"max_fused_vs_blas1\":"         { gsub(/[^0-9.]/, "", $2); ceil = $2 }
     END {
-        if (speedup == "" || floor == "" || vsblas == "" || ceil == "")
+        if (vsblas == "" || ceil == "")
             { print "BENCH_fuse.json missing SLO fields" > "/dev/stderr"; exit 1 }
-        if (speedup + 0 < floor + 0)
-            { printf "fused speedup %sx below SLO floor %sx\n", speedup, floor > "/dev/stderr"; exit 1 }
         if (vsblas + 0 > ceil + 0)
             { printf "fused statement %sx of blas1 exceeds SLO ceiling %sx\n", vsblas, ceil > "/dev/stderr"; exit 1 }
     }' BENCH_fuse.json
@@ -178,8 +173,8 @@ grep -q '"pool_buffer_reuses"' "$cache_out" \
 # Run coalescing must be active on the statement loop's data movement.
 grep -q '"runs_coalesced"' "$cache_out" \
     || { echo "no runs_coalesced in summary: $cache_out" >&2; exit 1; }
-# In-process statements default to the fused compiler (BCAG_FUSE=on):
-# the loop must run as fused epochs without going dark in the trace.
+# Every statement runs as a fused epoch: the loop must show them
+# without going dark in the trace.
 grep -q '"fused_epochs"' "$cache_out" \
     || { echo "no fused_epochs in summary: $cache_out" >&2; exit 1; }
 grep -q '"recv_wait_ns"' "$cache_out" \

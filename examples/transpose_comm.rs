@@ -5,13 +5,14 @@
 //! blocking of a ScaLAPACK routine) forces an all-to-all style exchange.
 //! The communication sets are computed from the access-sequence machinery
 //! (each source processor enumerates its owned RHS elements with the
-//! lattice algorithm), and the exchange is executed with message channels.
+//! lattice algorithm), and the exchange runs as the copy epoch of the
+//! statement's fused program: one message per non-empty processor pair.
 //!
 //! Run: `cargo run --example transpose_comm`
 
 use bcag::core::method::Method;
 use bcag::core::RegularSection;
-use bcag::spmd::{CommSchedule, DistArray};
+use bcag::spmd::{assign_array, CommSchedule, DistArray};
 
 fn main() {
     let p = 4i64;
@@ -46,7 +47,7 @@ fn main() {
         println!();
     }
 
-    schedule.execute(&mut a, &b).expect("exchange");
+    assign_array(&mut a, &sec, &b, &sec).expect("exchange");
     assert_eq!(a.to_global(), data, "redistribution must preserve contents");
     println!("\ncontents preserved after exchange: ✓");
 
@@ -55,7 +56,7 @@ fn main() {
     let sec_b = RegularSection::new(1, 229, 4).expect("sb");
     let sched2 =
         CommSchedule::build(p, k_a, &sec_a, k_b, &sec_b, Method::Lattice).expect("schedule2");
-    sched2.execute(&mut a, &b).expect("exchange2");
+    assign_array(&mut a, &sec_a, &b, &sec_b).expect("exchange2");
     let ga = a.to_global();
     let ok = sec_a
         .iter()

@@ -85,7 +85,7 @@ fn randomized_cross_layout_assignments() {
         let data: Vec<i64> = (0..n).map(|i| rng.random_range(0..1_000_000) + i).collect();
         let b = DistArray::from_global(p, k_b, &data).unwrap();
         let mut a = DistArray::new(p, k_a, n, -1i64).unwrap();
-        assign_array(&mut a, &sec_a, &b, &sec_b, Method::Lattice).unwrap();
+        assign_array(&mut a, &sec_a, &b, &sec_b).unwrap();
 
         let mut expect = vec![-1i64; n as usize];
         for (ia, ib) in sec_a.iter().zip(sec_b.iter()) {
