@@ -1,60 +1,34 @@
-//! Self-tuning dispatch A/B bench: tuned vs forced pack modes, and
-//! L2-blocked vs unblocked fused epochs.
+//! L2 blocking A/B bench: blocked vs unblocked fused epochs.
 //!
-//! Four pack shapes, chosen for where the tuner's decisions differ
-//! (p = 4, k = 8):
+//! One communication-free fused f64 statement over a 4M-element section
+//! on p = 2 (16 MiB per node ≫ any L2). The blocked arm is the production
+//! path, `assign_expr`, whose program pipelines stage→apply through
+//! L2-sized blocks ([`fuse::epoch_block_elems`]). The unblocked arm runs
+//! the same statement's block-0 program (`fuse::cached_program(.., 0)` +
+//! [`FusedStatement::execute`]), which stages the whole section per
+//! epoch. The arms are sampled round-robin. Blocked must win
+//! (`MIN_BLOCKED_OVER_UNBLOCKED`).
 //!
-//! * **sparse u8 (s = k + 1 = 9)** — the figure-6-like worst case at
-//!   one byte per element: gaps alternate within the period, runs
-//!   degenerate to length-2 pairs, ~7 of every 64 fetched bytes used,
-//!   and each segment dispatch moves two bytes. The tuner flips to the
-//!   scalar gap-table walk; forced `Runs` pays per-segment dispatch for
-//!   nothing. This is the headline cell: tuned must beat forced-`Runs`
-//!   by `MIN_TUNED_OVER_RUNS`×.
-//! * **sparse f64 (s = 9)** — the same structure at 8 bytes per
-//!   element: the walk still wins, by a thinner margin (dispatch per 16
-//!   moved bytes instead of per 2).
-//! * **gap-64B f64 (s = 8)** — one uniform 64-byte stride: a single
-//!   strided segment that touches a fresh cache line per element. Low
-//!   utilization, but nothing to dispatch — the segment loop wins, and
-//!   the tuner must keep it (the shape that separates the
-//!   short-segment criterion from a naive utilization-only rule).
-//! * **dense f64 (s = 1)** — contiguous: the tuner keeps run-coalesced
-//!   slice copies, and must not regress against forced `Runs`.
+//! The report (`BENCH_tune.json`, schema `bcag-tune/v2`) carries median
+//! latencies, the derived ratio and an `slo` block `ci.sh` gates merges
+//! on. Flags: `--quick`, `--json <path>`; unknown flags ignored.
 //!
-//! Every cell measures packed elements/sec under tuned, forced-`Runs`
-//! and forced-per-element; tuned must stay ≥ `MIN_PARITY`× of the best
-//! forced mode on every cell (it picks one of them, so the cost of the
-//! cached decision lookup is the only possible gap).
-//!
-//! The fourth measurement is the blocking A/B: a communication-free
-//! fused statement over an 8 MiB-per-node f64 section (≫ L2), run under
-//! `TuneMode::Auto` (stage→apply pipelined through L2-sized blocks) and
-//! `TuneMode::Fixed` (one full-section staging buffer). Blocked must
-//! win (`MIN_BLOCKED_OVER_UNBLOCKED`).
-//!
-//! The report (`BENCH_tune.json`, schema `bcag-tune/v1`) carries median
-//! latencies, the derived ratios and an `slo` block `ci.sh` gates
-//! merges on. Flags: `--quick`, `--json <path>`; unknown flags ignored.
+//! [`FusedStatement::execute`]: bcag_spmd::fuse::FusedStatement::execute
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use bcag_core::method::Method;
 use bcag_core::section::RegularSection;
-use bcag_core::tune::{self, TuneMode};
+use bcag_core::tune;
 use bcag_harness::bench::default_report_dir;
 use bcag_harness::json::Json;
-use bcag_spmd::pack::pack_with_buf_mode;
-use bcag_spmd::{assign_expr, pool, DistArray, PackMode};
+use bcag_spmd::{assign_expr, fuse, pool, transport, DistArray, ExecMode};
 
-/// Committed SLOs for the full profile (see module docs).
-const MIN_TUNED_OVER_RUNS: f64 = 1.5;
-const MIN_PARITY: f64 = 0.95;
+/// Committed SLO for the full profile (see module docs).
 const MIN_BLOCKED_OVER_UNBLOCKED: f64 = 1.0;
 
-const P: i64 = 4;
-const K: i64 = 8;
+const P: i64 = 2;
+const K: i64 = 64;
 
 /// Round-robin A/B sampler: one timed sample per variant per round, so
 /// slow drift on a shared host (frequency scaling, neighbors) lands on
@@ -84,30 +58,8 @@ fn interleaved_median_ns<const V: usize>(
     })
 }
 
-/// Median ns per mode for one shape, in [tuned, runs, per-element]
-/// order, plus the section count for elements/sec derivation.
-fn pack_shape<T: bcag_spmd::PackValue>(
-    s: i64,
-    count: i64,
-    make: impl Fn(i64) -> T,
-    warmup: usize,
-    iters: usize,
-) -> ([u64; 3], i64) {
-    let sec = RegularSection::new(0, s * (count - 1), s).unwrap();
-    let n = sec.u + 1;
-    let data: Vec<T> = (0..n).map(make).collect();
-    let arr = DistArray::from_global(P, K, &data).unwrap();
-    let modes = [PackMode::Tuned, PackMode::Runs, PackMode::PerElement];
-    let mut buf: Vec<T> = Vec::new();
-    let ns = interleaved_median_ns::<3>(warmup, iters, |v| {
-        let mut total = 0usize;
-        for m in 0..P {
-            total +=
-                pack_with_buf_mode(&arr, &sec, m, Method::Lattice, modes[v], &mut buf).unwrap();
-        }
-        black_box(total);
-    });
-    (ns, count)
+fn body(v: &[f64]) -> f64 {
+    v[0] * 1.0001 + 0.5
 }
 
 fn main() {
@@ -122,131 +74,82 @@ fn main() {
             other => eprintln!("locality_tuning: ignoring unknown argument {other:?}"),
         }
     }
-    let (warmup, iters) = if quick { (3, 30) } else { (30, 300) };
-    tune::set_default_tune(TuneMode::Auto);
+    let (warmup, iters) = if quick { (1, 5) } else { (3, 30) };
 
-    // Pack cells. Counts keep each source array a few MiB — spilled
-    // past L2 on any host (the tuner's win is dispatch, not residency,
-    // but the spilled regime is the honest production case).
-    let mut cells: Vec<(&str, [u64; 3], i64)> = Vec::new();
-    let (ns, count) = pack_shape::<u8>(K + 1, 100_000, |i| (i * 13 % 251) as u8, warmup, iters);
-    cells.push(("sparse_u8_s9", ns, count));
-    let (ns, count) = pack_shape::<f64>(K + 1, 100_000, |i| i as f64 * 0.5, warmup, iters);
-    cells.push(("sparse_f64_s9", ns, count));
-    let (ns, count) = pack_shape::<f64>(8, 65_536, |i| i as f64 * 0.5, warmup, iters);
-    cells.push(("gap64_f64_s8", ns, count));
-    let (ns, count) = pack_shape::<f64>(1, 1 << 20, |i| i as f64 * 0.5, warmup, iters);
-    cells.push(("dense_f64_s1", ns, count));
-
-    // Blocking A/B: one communication-free fused f64 statement, 4M
-    // elements over p=2 (16 MiB per node ≫ any L2). Auto blocks the
-    // stage→apply pipeline into L2-sized chunks; Fixed stages the whole
-    // section per epoch.
-    let (bw, bi) = if quick { (1, 5) } else { (3, 30) };
-    let p2 = 2i64;
     let nn = 4i64 << 20;
-    pool::warm(p2);
+    pool::warm(P);
     let sec = RegularSection::new(0, nn - 1, 1).unwrap();
     let data: Vec<f64> = (0..nn).map(|i| (i % 8191) as f64).collect();
-    let src = DistArray::from_global(p2, 64, &data).unwrap();
-    let mut dst = DistArray::from_global(p2, 64, &data).unwrap();
-    let tune_modes = [TuneMode::Auto, TuneMode::Fixed];
-    let [blocked_ns, unblocked_ns] = interleaved_median_ns::<2>(bw, bi, |v| {
-        tune::set_default_tune(tune_modes[v]);
-        assign_expr(&mut dst, &sec, &[(&src, sec)], |v| v[0] * 1.0001 + 0.5).unwrap();
+    let src = DistArray::from_global(P, K, &data).unwrap();
+    let mut dst = DistArray::from_global(P, K, &data).unwrap();
+    let block = fuse::epoch_block_elems::<f64>(&sec);
+    let unblocked = fuse::cached_program::<f64>(
+        P,
+        K,
+        &sec,
+        &[(K, sec)],
+        ExecMode::Batched,
+        transport::active_transport(),
+        0,
+    )
+    .unwrap();
+    let [blocked_ns, unblocked_ns] = interleaved_median_ns::<2>(warmup, iters, |v| {
+        if v == 0 {
+            assign_expr(&mut dst, &sec, &[(&src, sec)], body).unwrap();
+        } else {
+            unblocked.execute(
+                &mut dst,
+                &[&src],
+                body,
+                pool::default_launch(),
+                transport::active_transport(),
+            );
+        }
         black_box(dst.local(0).len());
     });
-    tune::set_default_tune(TuneMode::Auto);
-
-    // Derived ratios (per-cell elements/sec share a count, so latency
-    // ratios are throughput ratios).
-    let tuned_over_runs_sparse = cells[0].1[1] as f64 / cells[0].1[0].max(1) as f64;
-    let parity_worst = cells
-        .iter()
-        .map(|(_, ns, _)| ns[1].min(ns[2]) as f64 / ns[0].max(1) as f64)
-        .chain(std::iter::once(
-            unblocked_ns as f64 / blocked_ns.max(1) as f64,
-        ))
-        .fold(f64::INFINITY, f64::min);
     let blocked_over_unblocked = unblocked_ns as f64 / blocked_ns.max(1) as f64;
 
     println!(
-        "locality_tuning: p={P} k={K} iters={iters} l2={}KiB (median ns; elements/sec in parens)",
+        "locality_tuning: p={P} k={K} n={nn} iters={iters} l2={}KiB block={block} (median ns)",
         tune::l2_bytes() / 1024
     );
-    for (label, ns, count) in &cells {
-        let eps = |ns: u64| *count as f64 / ns.max(1) as f64 * 1e9;
-        println!(
-            "  {label:<10} tuned {:>10} ({:.2e}/s)  runs {:>10} ({:.2e}/s)  per-element {:>10} ({:.2e}/s)",
-            ns[0],
-            eps(ns[0]),
-            ns[1],
-            eps(ns[1]),
-            ns[2],
-            eps(ns[2]),
-        );
-    }
     println!("  xfer_gt_l2 blocked {blocked_ns:>10}  unblocked {unblocked_ns:>10}");
-    println!(
-        "  tuned_over_runs_sparse = {tuned_over_runs_sparse:.2}x (floor {MIN_TUNED_OVER_RUNS:.1}x)"
-    );
-    println!("  parity_worst           = {parity_worst:.3}x (floor {MIN_PARITY:.2}x)");
     println!(
         "  blocked_over_unblocked = {blocked_over_unblocked:.2}x (floor {MIN_BLOCKED_OVER_UNBLOCKED:.1}x)"
     );
 
-    let mut fields = vec![
-        ("schema", Json::Str("bcag-tune/v1".into())),
+    let report = Json::obj(vec![
+        ("schema", Json::Str("bcag-tune/v2".into())),
         ("bench", Json::Str("locality_tuning".into())),
         ("quick", Json::Bool(quick)),
         ("p", Json::Int(P)),
         ("k", Json::Int(K)),
         ("iters", Json::Int(iters as i64)),
         ("l2_kb", Json::Int((tune::l2_bytes() / 1024) as i64)),
-    ];
-    for (label, ns, count) in &cells {
-        fields.push((
-            label,
+        (
+            "xfer_gt_l2",
             Json::obj(vec![
-                ("count", Json::Int(*count)),
-                ("tuned_ns", Json::Int(ns[0] as i64)),
-                ("runs_ns", Json::Int(ns[1] as i64)),
-                ("per_element_ns", Json::Int(ns[2] as i64)),
+                ("elements", Json::Int(nn)),
+                ("block_elems", Json::Int(block as i64)),
+                ("blocked_ns", Json::Int(blocked_ns as i64)),
+                ("unblocked_ns", Json::Int(unblocked_ns as i64)),
             ]),
-        ));
-    }
-    fields.push((
-        "xfer_gt_l2",
-        Json::obj(vec![
-            ("elements", Json::Int(nn)),
-            ("blocked_ns", Json::Int(blocked_ns as i64)),
-            ("unblocked_ns", Json::Int(unblocked_ns as i64)),
-        ]),
-    ));
-    fields.push(("tuned_over_runs_sparse", Json::Num(tuned_over_runs_sparse)));
-    fields.push(("parity_worst", Json::Num(parity_worst)));
-    fields.push(("blocked_over_unblocked", Json::Num(blocked_over_unblocked)));
-    fields.push((
-        "slo",
-        Json::obj(vec![
-            ("min_tuned_over_runs_sparse", Json::Num(MIN_TUNED_OVER_RUNS)),
-            ("min_parity", Json::Num(MIN_PARITY)),
-            (
-                "min_blocked_over_unblocked",
-                Json::Num(MIN_BLOCKED_OVER_UNBLOCKED),
-            ),
-            (
-                "sparse_within_slo",
-                Json::Bool(tuned_over_runs_sparse >= MIN_TUNED_OVER_RUNS),
-            ),
-            ("parity_within_slo", Json::Bool(parity_worst >= MIN_PARITY)),
-            (
-                "blocked_within_slo",
-                Json::Bool(blocked_over_unblocked >= MIN_BLOCKED_OVER_UNBLOCKED),
-            ),
-        ]),
-    ));
-    let report = Json::obj(fields);
+        ),
+        ("blocked_over_unblocked", Json::Num(blocked_over_unblocked)),
+        (
+            "slo",
+            Json::obj(vec![
+                (
+                    "min_blocked_over_unblocked",
+                    Json::Num(MIN_BLOCKED_OVER_UNBLOCKED),
+                ),
+                (
+                    "blocked_within_slo",
+                    Json::Bool(blocked_over_unblocked >= MIN_BLOCKED_OVER_UNBLOCKED),
+                ),
+            ]),
+        ),
+    ]);
     let path = json_path.unwrap_or_else(|| default_report_dir().join("locality_tuning.json"));
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).expect("create report directory");

@@ -1,4 +1,4 @@
-//! Pack/unpack throughput: run-coalesced vs per-element buffer filling.
+//! Pack/unpack throughput of the run-coalesced buffer fill.
 //!
 //! Each measurement packs every node's share of one section (plans come
 //! from the process-wide cache, so the timed region is the buffer fill
@@ -13,8 +13,7 @@
 //!   gap-1 notion of "run" would miss entirely;
 //! * `s = k/2` — two elements per course, short runs;
 //! * `s = k + 1` — every gap differs from its neighbor within a period:
-//!   runs degenerate to singletons and the two modes must tie (parity
-//!   guard: coalescing costs nothing when there is nothing to coalesce).
+//!   runs degenerate to singletons, the worst case for coalescing.
 
 use std::hint::black_box;
 
@@ -22,12 +21,12 @@ use bcag_harness::bench::Bench;
 
 use bcag_core::method::Method;
 use bcag_core::section::RegularSection;
-use bcag_spmd::pack::{pack_with_buf_mode, unpack_mode};
-use bcag_spmd::{DistArray, PackMode, PackValue};
+use bcag_spmd::pack::{pack, pack_with_buf, unpack};
+use bcag_spmd::{DistArray, PackValue};
 
 const K: i64 = 512;
 
-/// One (type, p, s) sweep cell: both pack modes over all nodes' shares.
+/// One (type, p, s) sweep cell: a pack of every node's share.
 fn bench_type<T: PackValue + Default>(
     bench: &mut Bench,
     label: &str,
@@ -36,10 +35,8 @@ fn bench_type<T: PackValue + Default>(
     make: impl Fn(i64) -> T,
 ) {
     // Scale the section so the source array stays cache-resident as the
-    // stride grows: the cell isolates the buffer-fill strategy, not DRAM
-    // bandwidth (both modes touch identical bytes, so a DRAM-bound cell
-    // saturates to a bandwidth tie). The mode comparison is within a
-    // cell, so cells need not share counts.
+    // stride grows: the cell measures the buffer fill, not DRAM
+    // bandwidth.
     let count = (262_144 / s).max(1024);
     let sec = RegularSection::new(0, s * (count - 1), s).unwrap();
     let n = sec.normalized().hi + 1;
@@ -47,16 +44,13 @@ fn bench_type<T: PackValue + Default>(
     let arr = DistArray::from_global(p, K, &data).unwrap();
     let mut buf: Vec<T> = Vec::new();
     let mut group = bench.group(&format!("pack_p{p}_s{s}"));
-    for mode in [PackMode::Runs, PackMode::PerElement] {
-        group.bench(&format!("{}/{label}/n{count}", mode.name()), || {
-            let mut total = 0usize;
-            for m in 0..p {
-                total +=
-                    pack_with_buf_mode(&arr, &sec, m, Method::Lattice, mode, &mut buf).unwrap();
-            }
-            black_box(total)
-        });
-    }
+    group.bench(&format!("{label}/n{count}"), || {
+        let mut total = 0usize;
+        for m in 0..p {
+            total += pack_with_buf(&arr, &sec, m, Method::Lattice, &mut buf).unwrap();
+        }
+        black_box(total)
+    });
 }
 
 /// Unpack twin of the i64 cell: fill each node's share back from a
@@ -68,18 +62,16 @@ fn bench_unpack(bench: &mut Bench, p: i64, s: i64) {
     let data: Vec<i64> = (0..n).collect();
     let arr = DistArray::from_global(p, K, &data).unwrap();
     let packs: Vec<Vec<i64>> = (0..p)
-        .map(|m| bcag_spmd::pack::pack(&arr, &sec, m, Method::Lattice).unwrap())
+        .map(|m| pack(&arr, &sec, m, Method::Lattice).unwrap())
         .collect();
     let mut dst = DistArray::new(p, K, n, 0i64).unwrap();
     let mut group = bench.group(&format!("unpack_p{p}_s{s}"));
-    for mode in [PackMode::Runs, PackMode::PerElement] {
-        group.bench(&format!("{}/i64/n{count}", mode.name()), || {
-            for (m, buf) in packs.iter().enumerate() {
-                unpack_mode(&mut dst, &sec, m as i64, Method::Lattice, mode, buf).unwrap();
-            }
-            black_box(dst.local(0).len())
-        });
-    }
+    group.bench(&format!("i64/n{count}"), || {
+        for (m, buf) in packs.iter().enumerate() {
+            unpack(&mut dst, &sec, m as i64, Method::Lattice, buf).unwrap();
+        }
+        black_box(dst.local(0).len())
+    });
 }
 
 fn main() {

@@ -504,11 +504,8 @@ pub fn stats(argv: &[String]) -> i32 {
             bcag_spmd::pool::default_launch().name()
         );
         println!(
-            "tune: mode={} (BCAG_TUNE=auto|fixed) l2={}KiB (BCAG_L2_KB) decisions: runs={} per-element={} blocked={}",
-            bcag_core::tune::default_tune().name(),
+            "blocking: l2={}KiB (BCAG_L2_KB) blocked_epochs={}",
             bcag_core::tune::l2_bytes() / 1024,
-            trace.counter_total("tune_decision_runs"),
-            trace.counter_total("tune_decision_per_element"),
             trace.counter_total("tune_decision_blocked"),
         );
         let cs = bcag_spmd::cache::stats();

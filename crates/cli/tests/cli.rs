@@ -4,10 +4,12 @@
 use std::process::Command;
 
 fn bcag(args: &[&str]) -> (String, String, i32) {
-    let out = Command::new(env!("CARGO_BIN_EXE_bcag"))
-        .args(args)
-        .output()
-        .expect("binary runs");
+    output(Command::new(env!("CARGO_BIN_EXE_bcag")).args(args))
+}
+
+/// Runs `cmd` and returns its stdout, stderr and exit code.
+fn output(cmd: &mut Command) -> (String, String, i32) {
+    let out = cmd.output().expect("binary runs");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -304,10 +306,46 @@ fn stats_prints_flight_recorder_and_percentiles() {
     assert!(stdout.contains("schedule cache: hits="), "{stdout}");
     assert!(stdout.contains("histogram percentiles:"), "{stdout}");
     assert!(stdout.contains("rt_statement_ns"), "{stdout}");
-    // The self-tuning dispatch line: mode, resolved L2 and the decision
-    // counters the run recorded.
-    assert!(stdout.contains("tune: mode="), "{stdout}");
-    assert!(stdout.contains("decisions: runs="), "{stdout}");
+    // The blocking line: resolved L2 and how many epochs ran blocked.
+    assert!(stdout.contains("blocking: l2="), "{stdout}");
+    assert!(
+        stdout.contains("KiB (BCAG_L2_KB) blocked_epochs="),
+        "{stdout}"
+    );
+    // The flight recorder's blocking column.
+    assert!(stdout.contains(" blk "), "{stdout}");
+}
+
+/// Runs `bcag run` on the repository's triad script with the two cache
+/// env vars cleared, then `var = value` set if given.
+fn run_triad_with(var: Option<(&str, &str)>) -> (String, String, i32) {
+    let script = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scripts/triad.hpf"
+    );
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bcag"));
+    cmd.args(["run", "--file", script])
+        .env_remove("BCAG_CACHE_SHARDS")
+        .env_remove("BCAG_SCHED_CACHE_CAP");
+    if let Some((k, v)) = var {
+        cmd.env(k, v);
+    }
+    output(&mut cmd)
+}
+
+#[test]
+fn hostile_cache_env_values_are_clamped() {
+    let (want, stderr, code) = run_triad_with(None);
+    assert_eq!(code, 0, "stderr:\n{stderr}");
+    for (var, value) in [
+        ("BCAG_CACHE_SHARDS", "1099511627776"),
+        ("BCAG_SCHED_CACHE_CAP", "1099511627776"),
+        ("BCAG_SCHED_CACHE_CAP", "18446744073709551615"),
+    ] {
+        let (got, stderr, code) = run_triad_with(Some((var, value)));
+        assert_eq!(code, 0, "{var}={value}: stderr:\n{stderr}");
+        assert_eq!(got, want, "{var}={value} changed the output");
+    }
 }
 
 #[test]

@@ -29,11 +29,8 @@
 //! * [`lower`] — lowering pass over compiled [`runs`]: flattens a
 //!   `RunPlan` into shape-classified segments so plan compilers can bind
 //!   gap-specialized kernels ahead of execution;
-//! * [`tune`] — self-tuning dispatch pass: derives a
-//!   `DispatchDecision` (pack strategy, code shape, transfer block
-//!   size) per plan from the [`locality`] measurements, replacing
-//!   hand-set env-var A/Bs with line-utilization and L2-residency
-//!   criteria;
+//! * [`tune`] — L2 transfer blocking: the block size a statement's
+//!   transfers split into when its working set spills L2;
 //! * [`fsm`] — the finite-state-machine view of the gap sequence used by
 //!   Chatterjee et al. to describe the problem;
 //! * [`aligned`] — affine alignments (`A(i)` at template cell `a·i + b`) by
@@ -98,7 +95,4 @@ pub use params::Problem;
 pub use pattern::{Access, AccessPattern, CyclicPattern, Pattern};
 pub use runs::{Run, RunPlan, RunShape, Segment};
 pub use section::RegularSection;
-pub use tune::{
-    decide, decide_with, default_tune, set_default_tune, CodeShapeChoice, DispatchDecision,
-    PackChoice, TuneMode,
-};
+pub use tune::{default_tune, TuneMode};

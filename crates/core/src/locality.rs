@@ -103,36 +103,6 @@ pub fn analyze(plan: &RunPlan, elem_bytes: usize) -> LocalityStats {
     }
 }
 
-/// Histogram-free locality summary for the tuning pass: distinct lines
-/// and bytes over (a bounded prefix of) the traversal, skipping the LRU
-/// replay entirely — [`analyze`]'s stack scan is `O(elements × working
-/// set)`, too slow for the plan-compile path, while a distinct-line
-/// count is `O(elements)`. The returned stats carry an empty `reuse`
-/// histogram and `cold_misses == lines`; `max_elems` bounds the replay
-/// (the gap table is periodic, so a few periods converge).
-pub fn analyze_lines(plan: &RunPlan, elem_bytes: usize, max_elems: usize) -> LocalityStats {
-    let elem_bytes = elem_bytes.max(1) as u64;
-    let mut lines: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut elements = 0u64;
-    plan.for_each_segment(|seg| {
-        for j in 0..seg.len {
-            if elements >= max_elems as u64 {
-                return;
-            }
-            elements += 1;
-            let byte_addr = (seg.addr + j * seg.gap) as u64 * elem_bytes;
-            lines.insert(byte_addr / CACHE_LINE_BYTES);
-        }
-    });
-    LocalityStats {
-        elements,
-        lines: lines.len() as u64,
-        bytes_touched: elements * elem_bytes,
-        cold_misses: lines.len() as u64,
-        reuse: Histogram::new(),
-    }
-}
-
 /// [`analyze`]s the plan and folds the results into the active trace
 /// session: the `reuse_distance_lines` histogram plus the
 /// `locality_elements` / `locality_lines_touched` /
@@ -217,32 +187,6 @@ mod tests {
         let plan = uniform_plan(0, i64::MAX / 4, 1);
         let s = analyze(&plan, 8);
         assert_eq!(s.elements, MAX_ANALYZED as u64);
-    }
-
-    #[test]
-    fn analyze_lines_agrees_with_full_analysis() {
-        for (start, last, am, eb) in [
-            (0i64, 63i64, vec![1i64], 8usize),
-            (0, 8 * 31, vec![8, 8], 8),
-            (0, 199, vec![1, 1, 1, 17], 8),
-            (5, 900, vec![3, 12, 15, 12, 3, 12, 3, 12], 4),
-        ] {
-            let plan = RunPlan::compile(Some(start), last, &am);
-            let fast = analyze_lines(&plan, eb, MAX_ANALYZED);
-            let full = analyze(&plan, eb);
-            assert_eq!(fast.elements, full.elements);
-            assert_eq!(fast.lines, full.lines);
-            assert_eq!(fast.bytes_touched, full.bytes_touched);
-            assert_eq!(fast.bytes_per_line(), full.bytes_per_line());
-            assert!(fast.reuse.is_empty());
-        }
-        // Bounded, like the full analysis.
-        let huge = RunPlan::compile(Some(0), i64::MAX / 4, &[1, 1]);
-        assert_eq!(analyze_lines(&huge, 8, 1000).elements, 1000);
-        // Empty plan yields zeroes.
-        let empty = analyze_lines(&RunPlan::empty(), 8, 100);
-        assert_eq!(empty.elements, 0);
-        assert_eq!(empty.bytes_per_line(), 0.0);
     }
 
     #[test]

@@ -145,18 +145,6 @@ impl RunPlan {
         self.last
     }
 
-    /// `true` when some run spans more than one element — i.e. the plan
-    /// offers slice copies the element-by-element walk does not. Clients
-    /// with a cheap scalar path may fall back to it when this is `false`
-    /// (all-singleton runs pay per-segment dispatch for no gain).
-    pub fn coalesces(&self) -> bool {
-        match &self.shape {
-            RunShape::Empty | RunShape::Single => false,
-            RunShape::Uniform { .. } => self.count() > 1,
-            RunShape::Cyclic(runs) => runs.iter().any(|r| r.len >= 2),
-        }
-    }
-
     /// Number of runs per table period (`0` when empty, `1` for the
     /// closed-form shapes). The coalescing factor is
     /// `delta_m.len() / runs_per_period()`.

@@ -1,119 +1,41 @@
-//! Self-tuning dispatch: turn the [`crate::locality`] measurements into
-//! concrete execution decisions instead of hand-tuned env-var A/Bs.
+//! L2 transfer blocking: the one execution decision made from a plan.
 //!
-//! The paper's run tables make every access sequence's memory footprint
-//! statically predictable, and [`crate::locality`] already computes
-//! working-set size and bytes-touched-per-cache-line from each compiled
-//! [`RunPlan`]. This module closes the loop: [`decide`] derives a
-//! [`DispatchDecision`] — pack strategy, node-code shape, and transfer
-//! block size — from those numbers at plan-compile time, so the choice
-//! keys on *measured line utilization* rather than on which env var the
-//! operator remembered to set.
-//!
-//! The decision model, and the rationale for each threshold (thresholds
-//! were fit to measurements of both pack modes across sparse-stride,
-//! gap-64B, mixed and dense shapes — see EXPERIMENTS.md):
-//!
-//! * **Pack strategy.** Run-coalesced packing loses exactly where its
-//!   per-segment dispatch cannot amortize: *short* segments at *low*
-//!   line utilization. Below [`LOW_UTIL_BYTES_PER_LINE`] bytes consumed
-//!   per 64-byte line **and** at most [`SHORT_RUN_MAX_ELEMS`] elements
-//!   per average segment, the "runs" are 2–4-element strided stubs (a
-//!   gap-12 pair every 3 elements) and the scalar gap-table walk is
-//!   measured 1.3–1.5× faster for f64, 2–2.7× for u8 — the same
-//!   whether the section is L2-resident or spilled, because both modes
-//!   fetch the same lines; the difference is dispatch, not bandwidth.
-//!   Long strided segments are the opposite: a uniform 64-byte stride
-//!   compiles to one segment whose gather loop beats the walk 1.5–1.7×
-//!   even at 8 bytes per line, so low utilization alone must not force
-//!   the fallback. Mostly-singleton plans (average run length under 2)
-//!   fall back regardless of utilization. Both criteria select
-//!   [`PackChoice::PerElement`].
-//! * **Code shape.** The same criterion picks the owner-computes loop:
-//!   coalescing plans run the segment walk (Figure 8's RunLoop
-//!   extension), degenerate ones the offset-indexed two-table walk of
-//!   Figure 8(d) — the fastest scalar shape in Table 2.
-//! * **Blocking.** A transfer whose staging working set exceeds half of
-//!   L2 ([`block_elems_for`]) is split into L2-sized chunks so the
-//!   stage→pack→send→unpack→apply pipeline stays cache-resident; the
-//!   block size budgets a quarter of L2 per live buffer (snapshot
-//!   staging, pack buffer, source and destination shares).
+//! The paper's run tables make every statement's memory footprint
+//! statically known, so whether its transfers fit in cache is a
+//! plan-time fact. A transfer whose staging working set exceeds half of
+//! L2 ([`block_elems_for`]) is split into L2-sized chunks, so the
+//! stage→pack→send→unpack→apply pipeline stays cache-resident; the
+//! block size budgets a quarter of L2 per live buffer (snapshot staging,
+//! pack buffer, source and destination shares). The fused compiler
+//! (`bcag-spmd::fuse`) stores the chosen block size in each compiled
+//! program.
 //!
 //! The L2 size is probed from sysfs where available, defaults to
 //! [`DEFAULT_L2_KB`], and is overridable with `BCAG_L2_KB` (clamped to
 //! [[`MIN_L2_KB`], [`MAX_L2_KB`]]) so the block-size model is testable on
-//! any host. `BCAG_TUNE=auto|fixed` selects whether downstream dispatch
-//! honors the decisions at all — `fixed` reproduces the historical
-//! hand-picked defaults for A/B runs.
-//!
-//! [`decide`] is a pure function of its inputs: equal
-//! [`LocalityStats`]/plan/element-width/L2 always produce equal
-//! decisions, so memoizing decisions next to the plans they describe is
-//! safe (the property the cache relies on, pinned by a test below).
+//! any host.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::locality::LocalityStats;
-use crate::runs::{RunPlan, RunShape};
-
-/// Whether downstream dispatch layers honor [`DispatchDecision`]s
-/// (`Auto`, the default) or keep the historical fixed defaults
-/// (`Fixed`) — the A/B switch of the self-tuning work, selected by
-/// `BCAG_TUNE=auto|fixed`.
+/// The plan-time tuning regime. Blocking is the only decision left, so
+/// this has a single variant; it survives because benchmark reports
+/// still record it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TuneMode {
-    /// Measured, self-tuning dispatch (the default).
+    /// L2 blocking derived from each statement's working set.
     Auto,
-    /// Historical fixed defaults (run-coalesced packing, unblocked
-    /// epochs), kept for A/B comparison.
-    Fixed,
 }
 
 impl TuneMode {
     /// Stable label for reports and bench output.
     pub fn name(&self) -> &'static str {
-        match self {
-            TuneMode::Auto => "auto",
-            TuneMode::Fixed => "fixed",
-        }
+        "auto"
     }
 }
 
-/// 0 = unset (read the env var on first use), 1 = Auto, 2 = Fixed.
-static DEFAULT_TUNE: AtomicU8 = AtomicU8::new(0);
-
-/// The process-default [`TuneMode`]. First use reads `BCAG_TUNE`
-/// (`fixed`/`off`/`0` disable self-tuning, anything else — including
-/// unset — keeps it on); later uses return the cached choice.
+/// The process's tuning regime (always [`TuneMode::Auto`]).
 pub fn default_tune() -> TuneMode {
-    match DEFAULT_TUNE.load(Ordering::Relaxed) {
-        1 => TuneMode::Auto,
-        2 => TuneMode::Fixed,
-        _ => {
-            let mode = match std::env::var("BCAG_TUNE") {
-                Ok(v)
-                    if v.trim().eq_ignore_ascii_case("fixed")
-                        || v.trim().eq_ignore_ascii_case("off")
-                        || v.trim() == "0" =>
-                {
-                    TuneMode::Fixed
-                }
-                _ => TuneMode::Auto,
-            };
-            set_default_tune(mode);
-            mode
-        }
-    }
-}
-
-/// Overrides the process-default [`TuneMode`] (benches and differential
-/// tests flip this around statement calls).
-pub fn set_default_tune(mode: TuneMode) {
-    let v = match mode {
-        TuneMode::Auto => 1,
-        TuneMode::Fixed => 2,
-    };
-    DEFAULT_TUNE.store(v, Ordering::Relaxed);
+    TuneMode::Auto
 }
 
 /// Default L2 size assumed when neither the `BCAG_L2_KB` override nor
@@ -125,8 +47,7 @@ pub const DEFAULT_L2_KB: u64 = 512;
 pub const MIN_L2_KB: u64 = 32;
 
 /// Largest accepted `BCAG_L2_KB` value (1 GiB — beyond any cache, the
-/// value would just disable blocking, which `BCAG_TUNE=fixed` already
-/// does explicitly).
+/// value just disables blocking).
 pub const MAX_L2_KB: u64 = 1 << 20;
 
 /// Resolves a `BCAG_L2_KB` value, mirroring the cache's
@@ -176,88 +97,12 @@ pub fn l2_bytes() -> u64 {
 
 /// Overrides the resolved L2 size (bytes, clamped to the `BCAG_L2_KB`
 /// range) for the rest of the process — differential tests shrink it so
-/// blocking triggers at test-sized transfers. Decisions already cached
+/// blocking triggers at test-sized transfers. Programs already compiled
 /// under the old value are not invalidated; tests use fresh shapes.
 pub fn set_l2_bytes(bytes: u64) {
     let clamped = (bytes / 1024).clamp(MIN_L2_KB, MAX_L2_KB) * 1024;
     L2_BYTES.store(clamped, Ordering::Relaxed);
 }
-
-/// Pack/unpack strategy a decision selects (mirrored onto
-/// `bcag-spmd::pack::PackMode` by the dispatch layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PackChoice {
-    /// Run-coalesced slice copies.
-    Runs,
-    /// Scalar gap-table walk.
-    PerElement,
-}
-
-/// Owner-computes loop shape a decision selects (mirrored onto
-/// `bcag-spmd::codeshapes::CodeShape`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CodeShapeChoice {
-    /// Run-coalesced segment walk (the RunLoop shape).
-    RunLoop,
-    /// Offset-indexed scalar walk of Figure 8(d) (the TwoTableLoop
-    /// shape) — the fastest per-element traversal in Table 2.
-    TwoTableLoop,
-}
-
-/// One plan's compiled dispatch decision: how to pack it, how to walk
-/// it, and whether to split its transfers into cache-resident blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DispatchDecision {
-    /// Pack/unpack strategy.
-    pub pack: PackChoice,
-    /// Owner-computes loop shape.
-    pub code_shape: CodeShapeChoice,
-    /// Transfer block size in elements; `0` means unblocked (the whole
-    /// transfer fits comfortably in cache).
-    pub block_elems: usize,
-}
-
-impl DispatchDecision {
-    /// Compact label for `bcag stats` and bench reports, e.g.
-    /// `runs`, `per-element`, `runs+blk16384`.
-    pub fn label(&self) -> String {
-        let pack = match self.pack {
-            PackChoice::Runs => "runs",
-            PackChoice::PerElement => "per-element",
-        };
-        if self.block_elems == 0 {
-            pack.to_string()
-        } else {
-            format!("{pack}+blk{}", self.block_elems)
-        }
-    }
-}
-
-/// Line-utilization threshold (bytes actually consumed per 64-byte
-/// fetch) below which a *short-segment* plan packs per-element.
-/// Measured crossover on pair-run shapes: at 7–8 B/line the scalar
-/// walk is 1.3–1.5× faster than per-segment dispatch for f64 (2–2.7×
-/// for u8), at 12.8 B/line 1.3×, while at 21 B/line and above the
-/// coalesced copies win (0.5× for the walk). 16 sits in the measured
-/// gap. Utilization alone is not sufficient: see
-/// [`SHORT_RUN_MAX_ELEMS`].
-pub const LOW_UTIL_BYTES_PER_LINE: f64 = 16.0;
-
-/// Upper bound on a cyclic plan's average segment length (elements) for
-/// the low-utilization fallback to apply. Dispatch cost amortizes with
-/// segment length, so only short segments lose to the scalar walk:
-/// measured at stride 13, k = 8 (two 4-element segments per period) the
-/// walk still wins 1.3×, while at k = 64 (13 segments averaging 4.9)
-/// the segment loop already wins 1.1×, and by 16-element segments it
-/// wins 2× — at the same 8 bytes per line. Uniform single-segment
-/// plans never take the fallback.
-pub const SHORT_RUN_MAX_ELEMS: usize = 4;
-
-/// Upper bound on traversal elements the tuner replays per plan when it
-/// measures line utilization — smaller than
-/// [`crate::locality::MAX_ANALYZED`] because decisions sit on the plan
-/// build path and the gap table is periodic (a few periods converge).
-pub const ANALYZE_BOUND: usize = 4096;
 
 /// Block size (elements) for a transfer of `count` elements of
 /// `elem_bytes` each against an L2 of `l2_bytes`: `0` (unblocked) while
@@ -273,87 +118,16 @@ pub fn block_elems_for(count: u64, elem_bytes: usize, l2_bytes: u64) -> usize {
     ((l2_bytes / (4 * eb)).max(1024)) as usize
 }
 
-/// [`decide_with`] against the process-wide [`l2_bytes`].
-pub fn decide(stats: &LocalityStats, plan: &RunPlan, elem_bytes: usize) -> DispatchDecision {
-    decide_with(stats, plan, elem_bytes, l2_bytes())
-}
-
-/// Derives the dispatch decision for one plan from its measured locality.
-/// Pure: equal inputs always produce equal decisions (the cache-safety
-/// property), and `stats` may be any analyzed prefix of the plan's
-/// traversal — full-traversal figures are extrapolated from it.
-pub fn decide_with(
-    stats: &LocalityStats,
-    plan: &RunPlan,
-    elem_bytes: usize,
-    l2_bytes: u64,
-) -> DispatchDecision {
-    if plan.is_empty() {
-        return DispatchDecision {
-            pack: PackChoice::Runs,
-            code_shape: CodeShapeChoice::RunLoop,
-            block_elems: 0,
-        };
-    }
-    let count = plan.count() as u64;
-    // Coalescing economics fall out of the run structure alone: a plan
-    // whose average run is shorter than 2 elements offers almost no
-    // slice copies, so the per-segment dispatch never pays for itself.
-    // Short segments (at most SHORT_RUN_MAX_ELEMS elements on average)
-    // amortize it poorly; uniform and single-run plans are one segment
-    // and never dispatch-bound.
-    let (worthwhile, short_runs) = match plan.shape() {
-        RunShape::Cyclic(_) => {
-            let rpp = plan.runs_per_period().max(1);
-            let pe = plan.period_elements().max(1);
-            (rpp * 2 <= pe, pe <= rpp * SHORT_RUN_MAX_ELEMS)
-        }
-        _ => (plan.coalesces(), false),
-    };
-    // The measured criterion: when the segments are short AND the
-    // traversal wastes most of every fetched line, the coalesced "runs"
-    // are strided stubs whose dispatch is pure overhead — resident or
-    // spilled alike, since both modes fetch the same lines. Either
-    // condition alone keeps the segment loop: long strided segments
-    // beat the walk even at 8 B/line, and short dense pairs still move
-    // whole slices.
-    let low_util = stats.lines > 0 && stats.bytes_per_line() < LOW_UTIL_BYTES_PER_LINE;
-    let pack = if !worthwhile || (low_util && short_runs) {
-        PackChoice::PerElement
-    } else {
-        PackChoice::Runs
-    };
-    let code_shape = match pack {
-        PackChoice::Runs => CodeShapeChoice::RunLoop,
-        PackChoice::PerElement => CodeShapeChoice::TwoTableLoop,
-    };
-    DispatchDecision {
-        pack,
-        code_shape,
-        block_elems: block_elems_for(count, elem_bytes, l2_bytes),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::locality::analyze_lines;
 
     const L2: u64 = 512 * 1024;
 
-    fn uniform_plan(last: i64, gap: i64) -> RunPlan {
-        RunPlan::compile(Some(0), last, &[gap, gap])
-    }
-
     #[test]
-    fn mode_names_and_flip() {
-        assert_eq!(TuneMode::Auto.name(), "auto");
-        assert_eq!(TuneMode::Fixed.name(), "fixed");
-        let before = default_tune();
-        set_default_tune(TuneMode::Fixed);
-        assert_eq!(default_tune(), TuneMode::Fixed);
-        set_default_tune(before);
-        assert_eq!(default_tune(), before);
+    fn mode_is_auto() {
+        assert_eq!(default_tune(), TuneMode::Auto);
+        assert_eq!(default_tune().name(), "auto");
     }
 
     #[test]
@@ -380,144 +154,18 @@ mod tests {
     }
 
     #[test]
-    fn dense_plans_keep_runs_unblocked_when_resident() {
-        // 4096 contiguous f64: 32 KiB, fully line-utilized.
-        let plan = uniform_plan(4095, 1);
-        let stats = analyze_lines(&plan, 8, ANALYZE_BOUND);
-        let d = decide_with(&stats, &plan, 8, L2);
-        assert_eq!(d.pack, PackChoice::Runs);
-        assert_eq!(d.code_shape, CodeShapeChoice::RunLoop);
-        assert_eq!(d.block_elems, 0);
-    }
-
-    #[test]
-    fn dense_spilling_plans_block() {
-        // 1M contiguous f64 = 8 MiB >> L2: runs, but blocked.
-        let plan = uniform_plan((1 << 20) - 1, 1);
-        let stats = analyze_lines(&plan, 8, ANALYZE_BOUND);
-        let d = decide_with(&stats, &plan, 8, L2);
-        assert_eq!(d.pack, PackChoice::Runs);
-        assert_eq!(d.block_elems, (L2 / (4 * 8)) as usize);
-    }
-
-    #[test]
-    fn singleton_heavy_plans_fall_back_to_per_element() {
-        // [5,1,5,1]: the unit-steal guard keeps the gap-5 elements out of
-        // the unit runs, so the period groups as [1, 2, 1] — average run
-        // length below 2, dispatch never amortizes.
-        let plan = RunPlan::compile(Some(0), 4000, &[5, 1, 5, 1]);
-        assert!(plan.runs_per_period() * 2 > plan.period_elements());
-        let stats = analyze_lines(&plan, 8, ANALYZE_BOUND);
-        let d = decide_with(&stats, &plan, 8, L2);
-        assert_eq!(d.pack, PackChoice::PerElement);
-        assert_eq!(d.code_shape, CodeShapeChoice::TwoTableLoop);
-    }
-
-    #[test]
-    fn wasted_short_runs_fall_back_to_per_element() {
-        // The figure-6-like sparse table (s = k+1): gap-12 runs of 2, so
-        // every element sits on its own line — 8 of every 64 fetched
-        // bytes used — and per-segment dispatch amortizes over 2
-        // elements. The scalar walk measured 1.35× the coalesced path on
-        // this structure for f64, 2.7× for u8 (resident and spilled
-        // alike).
-        let plan = RunPlan::compile(Some(0), 500_000, &[12, 3, 12, 15, 12, 3, 12, 3]);
-        let stats = analyze_lines(&plan, 8, ANALYZE_BOUND);
-        assert!(stats.bytes_per_line() < LOW_UTIL_BYTES_PER_LINE);
-        let d = decide_with(&stats, &plan, 8, L2);
-        assert_eq!(d.pack, PackChoice::PerElement);
-        assert_eq!(d.code_shape, CodeShapeChoice::TwoTableLoop);
-        // A half-line stride (32 B/line) keeps the coalesced path.
-        let half = uniform_plan(2 * 4095, 2);
-        let hstats = analyze_lines(&half, 8, ANALYZE_BOUND);
-        assert_eq!(hstats.bytes_per_line(), 32.0);
-        assert_eq!(decide_with(&hstats, &half, 8, L2).pack, PackChoice::Runs);
-    }
-
-    #[test]
-    fn long_strided_segments_keep_runs_despite_low_utilization() {
-        // The gap-64B uniform stride (s·elem_bytes = one line): 8 B/line
-        // but ONE segment — its strided gather loop measured 1.5–1.7×
-        // the gap-table walk, so utilization alone must not demote it.
-        let strided = uniform_plan(8 * 4095, 8);
-        let sstats = analyze_lines(&strided, 8, ANALYZE_BOUND);
-        assert_eq!(sstats.bytes_per_line(), 8.0);
-        let sd = decide_with(&sstats, &strided, 8, L2);
-        assert_eq!(sd.pack, PackChoice::Runs);
-        assert_eq!(sd.code_shape, CodeShapeChoice::RunLoop);
-        // The amortization boundary, at identical 8 B/line utilization:
-        // two 4-element segments per 8-element period (stride 13 at
-        // k = 8) still walk scalar; 13 segments averaging 4.9 elements
-        // (stride 13 at k = 64) keep the segment loop.
-        let at_bound = RunPlan::compile(Some(0), 500_000, &[15, 2, 17, 17, 17, 17, 17, 2]);
-        assert_eq!(at_bound.period_elements(), 8);
-        assert_eq!(at_bound.runs_per_period(), 2);
-        let bstats = analyze_lines(&at_bound, 8, ANALYZE_BOUND);
-        assert_eq!(
-            decide_with(&bstats, &at_bound, 8, L2).pack,
-            PackChoice::PerElement
-        );
-        let mut gaps = vec![13i64; 64];
-        for i in 0..13 {
-            gaps[4 + 5 * i.min(11)] = 16; // 13 segments per 64-element period
-        }
-        let above = RunPlan::compile(Some(0), 500_000, &gaps);
-        assert!(above.period_elements() > SHORT_RUN_MAX_ELEMS * above.runs_per_period());
-        let astats = analyze_lines(&above, 8, ANALYZE_BOUND);
-        assert_eq!(decide_with(&astats, &above, 8, L2).pack, PackChoice::Runs);
-    }
-
-    #[test]
-    fn decisions_are_deterministic_for_equal_stats() {
-        // The cache-safety property: equal (stats, plan, elem_bytes, L2)
-        // inputs produce equal decisions, across calls and threads.
-        let plans = [
-            uniform_plan(100_000, 8),
-            RunPlan::compile(Some(0), 123_456, &[1, 1, 5, 9]),
-            RunPlan::compile(Some(3), 999, &[2, 11]),
-            RunPlan::empty(),
-        ];
-        for plan in &plans {
-            for eb in [1usize, 8, 32] {
-                let stats = analyze_lines(plan, eb, ANALYZE_BOUND);
-                let first = decide_with(&stats, plan, eb, L2);
-                let again = decide_with(&stats.clone(), plan, eb, L2);
-                assert_eq!(first, again);
-                let from_thread = std::thread::scope(|s| {
-                    s.spawn(|| decide_with(&stats, plan, eb, L2))
-                        .join()
-                        .unwrap()
-                });
-                assert_eq!(first, from_thread);
-            }
-        }
-    }
-
-    #[test]
     fn block_size_model() {
         // Resident payloads stay unblocked.
         assert_eq!(block_elems_for(1000, 8, L2), 0);
+        // 4096 contiguous f64 (32 KiB) fit comfortably.
+        assert_eq!(block_elems_for(4096, 8, L2), 0);
         // 2× payload crossing L2 triggers blocking at L2/4 per buffer.
         assert_eq!(block_elems_for(1 << 20, 8, L2), (L2 / 32) as usize);
         // The floor keeps tiny L2 overrides from shredding transfers.
         assert_eq!(block_elems_for(1 << 20, 8, 32 * 1024), 1024);
         // Wider elements get proportionally fewer per block.
         assert_eq!(block_elems_for(1 << 20, 32, L2), (L2 / 128) as usize);
-    }
-
-    #[test]
-    fn labels_are_compact() {
-        let d = DispatchDecision {
-            pack: PackChoice::Runs,
-            code_shape: CodeShapeChoice::RunLoop,
-            block_elems: 0,
-        };
-        assert_eq!(d.label(), "runs");
-        let b = DispatchDecision {
-            pack: PackChoice::PerElement,
-            code_shape: CodeShapeChoice::TwoTableLoop,
-            block_elems: 4096,
-        };
-        assert_eq!(b.label(), "per-element+blk4096");
+        // The largest accepted L2 disables blocking for any real transfer.
+        assert_eq!(block_elems_for(1 << 20, 8, MAX_L2_KB * 1024), 0);
     }
 }

@@ -7,8 +7,8 @@
 //! Each record carries what an operator needs after the fact: the
 //! statement's kind and text, its latency, the data it moved (when
 //! tracing was on), whether the schedule cache answered, and the
-//! execution configuration ([`bcag_spmd::pack::PackMode`], blocking,
-//! transport, launch mode) it ran under.
+//! execution configuration (L2 blocking, transport, launch mode) it ran
+//! under.
 //! The ring is dumped to stderr when a statement panics (pool poison
 //! propagates as a panic) and on demand via the `bcag stats`
 //! subcommand.
@@ -42,11 +42,6 @@ pub struct StatementRecord {
     pub cache_hits: u64,
     /// Schedule-cache misses (builds) this statement caused.
     pub cache_misses: u64,
-    /// Pack mode the statement actually resolved to (`runs` /
-    /// `per-element`, or `-` before any pack ran) — under the self-tuning
-    /// default this is the measured dispatch decision, not a static
-    /// configuration.
-    pub pack_mode: &'static str,
     /// Whether the statement's fused epoch ran L2-blocked.
     pub blocked: bool,
     /// Transport fabric name (`mpsc` / `shm` / `proc`).
@@ -122,7 +117,6 @@ pub fn record(kind: &'static str, line: &str, before: Baseline, ok: bool) {
         },
         cache_hits: cache_now.0.saturating_sub(before.cache.0),
         cache_misses: cache_now.1.saturating_sub(before.cache.1),
-        pack_mode: bcag_spmd::pack::last_pack_mode().map_or("-", |m| m.name()),
         blocked: bcag_spmd::fuse::last_blocked().unwrap_or(false),
         transport: bcag_spmd::transport::active_transport().name(),
         launch: bcag_spmd::pool::default_launch().name(),
@@ -149,27 +143,12 @@ pub fn clear() {
 pub fn render(records: &[StatementRecord]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>5} {:<16} {:>10} {:>9} {:>10} {:>5} {:>5} {:<15} {:<6} {:<6} {:<3} statement\n",
-        "seq",
-        "kind",
-        "lat_us",
-        "elems",
-        "tx_bytes",
-        "hit",
-        "miss",
-        "pack",
-        "xport",
-        "launch",
-        "ok",
+        "{:>5} {:<16} {:>10} {:>9} {:>10} {:>5} {:>5} {:<3} {:<6} {:<6} {:<3} statement\n",
+        "seq", "kind", "lat_us", "elems", "tx_bytes", "hit", "miss", "blk", "xport", "launch", "ok",
     ));
     for r in records {
-        let pack = if r.blocked {
-            format!("{}+blk", r.pack_mode)
-        } else {
-            r.pack_mode.to_string()
-        };
         out.push_str(&format!(
-            "{:>5} {:<16} {:>10.1} {:>9} {:>10} {:>5} {:>5} {:<15} {:<6} {:<6} {:<3} {}\n",
+            "{:>5} {:<16} {:>10.1} {:>9} {:>10} {:>5} {:>5} {:<3} {:<6} {:<6} {:<3} {}\n",
             r.seq,
             r.kind,
             r.latency_ns as f64 / 1_000.0,
@@ -177,7 +156,7 @@ pub fn render(records: &[StatementRecord]) -> String {
             r.bytes_tx,
             r.cache_hits,
             r.cache_misses,
-            pack,
+            if r.blocked { "yes" } else { "no" },
             r.transport,
             r.launch,
             if r.ok { "yes" } else { "NO" },
@@ -258,7 +237,6 @@ mod tests {
             bytes_tx: 80,
             cache_hits: 2,
             cache_misses: 1,
-            pack_mode: "runs",
             blocked: true,
             transport: "shm",
             launch: "pooled",
@@ -269,21 +247,26 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("rt.ASSIGN"), "{text}");
         assert!(text.contains("ASSIGN A(0:9:1)"), "{text}");
-        assert!(text.contains("runs+blk"), "{text}");
+        let header = text.lines().next().unwrap();
+        let row = text.lines().nth(1).unwrap();
+        let col = |line: &str| line.split_whitespace().nth(7).map(str::to_string);
+        assert_eq!(col(header).as_deref(), Some("blk"), "{text}");
+        assert_eq!(col(row).as_deref(), Some("yes"), "{text}");
     }
 
     #[test]
-    fn records_capture_the_resolved_pack_mode() {
-        // Run one real statement, then record: the pack column must show
-        // the mode the statement actually resolved to, not a constant.
+    fn records_capture_the_epoch_blocking() {
+        // Run one real statement, then record: a 64-element statement fits
+        // any L2, so its fused epoch ran unblocked.
         let mut a = bcag_spmd::darray::DistArray::new(2, 4, 64, 0i64).unwrap();
         let b = bcag_spmd::darray::DistArray::new(2, 4, 64, 5i64).unwrap();
         let sec = bcag_core::section::RegularSection::new(0, 63, 1).unwrap();
         let base = Baseline::capture();
         bcag_spmd::statement::assign_expr(&mut a, &sec, &[(&b, sec)], |v| v[0]).unwrap();
         record("rt.ASSIGN", "ASSIGN A(0:63:1) = B(0:63:1)", base, true);
+        assert_eq!(bcag_spmd::fuse::epoch_block_elems::<i64>(&sec), 0);
         let rec = snapshot().into_iter().last().unwrap();
-        assert_ne!(rec.pack_mode, "-", "a pack ran, so a mode was noted");
+        assert!(!rec.blocked, "a resident statement runs unblocked");
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //! Capacity defaults to [`DEFAULT_CAPACITY`] entries spread evenly over
 //! the shards and can be overridden with the `BCAG_SCHED_CACHE_CAP` env
 //! var (`0` disables caching entirely; every lookup builds). Both env
-//! vars are read once, at first use.
+//! vars are read once, at first use, and clamped to [`MAX_CAPACITY`]
+//! and [`MAX_SHARDS`].
 //!
 //! Every lookup records a `schedule_cache_hits` or `schedule_cache_misses`
 //! counter via [`bcag_trace`], plus occupancy gauges (total and
@@ -60,6 +61,15 @@ use crate::transport::TransportKind;
 /// least-recently-used entries are evicted shard-locally beyond this.
 /// Override with `BCAG_SCHED_CACHE_CAP`.
 pub const DEFAULT_CAPACITY: usize = 128;
+
+/// Largest accepted `BCAG_SCHED_CACHE_CAP`: the store allocates every
+/// shard's table up front, so an unbounded value would abort the process
+/// at first use.
+pub const MAX_CAPACITY: usize = 65_536;
+
+/// Largest accepted `BCAG_CACHE_SHARDS` (a power of two, so clamped
+/// values need no further rounding).
+pub const MAX_SHARDS: usize = 1024;
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
@@ -98,22 +108,10 @@ enum Key {
         tid: TypeId,
         exec: (ExecMode, TransportKind),
         /// Transfer block size (elements) the program was compiled for
-        /// (`0` = unblocked). Part of the key so `BCAG_TUNE` A/B flips —
-        /// and L2-size overrides in tests — never reuse a program
-        /// compiled for the other blocking regime.
+        /// (`0` = unblocked). Part of the key so blocked/unblocked A/Bs
+        /// and L2-size overrides in tests never reuse a program compiled
+        /// for the other blocking regime.
         block: usize,
-    },
-    /// Per-node [`bcag_core::tune::DispatchDecision`]s for one section
-    /// shape: the memoized output of the self-tuning pass, cached next
-    /// to the plans it describes. Keyed by element width because both
-    /// the line-utilization measurement and the block-size model depend
-    /// on it.
-    Tune {
-        p: i64,
-        k: i64,
-        sec: (i64, i64, i64),
-        method: Method,
-        elem_bytes: usize,
     },
 }
 
@@ -122,7 +120,6 @@ enum Value {
     Schedule(Arc<CommSchedule>),
     Plans(Arc<Vec<NodePlan>>),
     Fused(Arc<dyn Any + Send + Sync>),
-    Tune(Arc<Vec<bcag_core::tune::DispatchDecision>>),
 }
 
 /// One resident entry. The stamp is atomic so the read path can refresh
@@ -545,20 +542,25 @@ fn store() -> &'static ShardedCache<Key, Value> {
 }
 
 /// Resolves a `BCAG_SCHED_CACHE_CAP` value: unset or unparsable falls
-/// back to [`DEFAULT_CAPACITY`]; `0` disables caching.
+/// back to [`DEFAULT_CAPACITY`]; `0` disables caching; larger values are
+/// clamped to [`MAX_CAPACITY`].
 fn parse_cap(var: Option<&str>) -> usize {
     match var {
-        Some(s) => s.trim().parse().unwrap_or(DEFAULT_CAPACITY),
+        Some(s) => s
+            .trim()
+            .parse::<usize>()
+            .map_or(DEFAULT_CAPACITY, |n| n.min(MAX_CAPACITY)),
         None => DEFAULT_CAPACITY,
     }
 }
 
-/// Resolves a `BCAG_CACHE_SHARDS` value (rounded up to a power of two):
-/// unset or unparsable falls back to [`default_shards`]; `1` reproduces
-/// the historical single-store semantics.
+/// Resolves a `BCAG_CACHE_SHARDS` value (clamped to [`MAX_SHARDS`], then
+/// rounded up to a power of two): unset or unparsable falls back to
+/// [`default_shards`]; `1` reproduces the historical single-store
+/// semantics.
 fn parse_shards(var: Option<&str>) -> usize {
     match var.and_then(|s| s.trim().parse::<usize>().ok()) {
-        Some(n) if n >= 1 => next_pow2(n),
+        Some(n) if n >= 1 => next_pow2(n.min(MAX_SHARDS)),
         _ => default_shards(),
     }
 }
@@ -769,50 +771,6 @@ pub fn fused<V: Send + Sync + 'static>(
     }
 }
 
-/// Cached per-node dispatch decisions for one section shape: fetches
-/// the (also cached) plans, runs the fast line-utilization analysis
-/// bounded at [`bcag_core::tune::ANALYZE_BOUND`] elements on each node's
-/// run plan, and memoizes the resulting
-/// [`bcag_core::tune::DispatchDecision`]s. Decisions are pure functions
-/// of the plan, the element width and the resolved L2 size, so the
-/// cache can serve them to every statement touching the shape.
-pub fn decisions(
-    p: i64,
-    k: i64,
-    sec: &RegularSection,
-    method: Method,
-    elem_bytes: usize,
-) -> Result<Arc<Vec<bcag_core::tune::DispatchDecision>>> {
-    let key = Key::Tune {
-        p,
-        k,
-        sec: sec_key(sec),
-        method,
-        elem_bytes,
-    };
-    let v = get_or_build(key, || {
-        // Nested cache access is safe: builds run outside shard locks
-        // (single-flight), and the plans fetch uses its own flight.
-        let plans = plans(p, k, sec, method)?;
-        let ds = plans
-            .iter()
-            .map(|np| {
-                let stats = bcag_core::locality::analyze_lines(
-                    &np.runs,
-                    elem_bytes,
-                    bcag_core::tune::ANALYZE_BOUND,
-                );
-                bcag_core::tune::decide(&stats, &np.runs, elem_bytes)
-            })
-            .collect();
-        Ok(Value::Tune(Arc::new(ds)))
-    })?;
-    match v {
-        Value::Tune(d) => Ok(d),
-        _ => unreachable!("tune key maps to tune value"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -894,6 +852,11 @@ mod tests {
         assert_eq!(parse_cap(Some("banana")), DEFAULT_CAPACITY);
         assert_eq!(parse_cap(Some("-3")), DEFAULT_CAPACITY);
         assert_eq!(parse_cap(Some("")), DEFAULT_CAPACITY);
+        // Huge values clamp instead of sizing an unallocatable table.
+        assert_eq!(parse_cap(Some("65536")), MAX_CAPACITY);
+        assert_eq!(parse_cap(Some("1099511627776")), MAX_CAPACITY);
+        assert_eq!(parse_cap(Some("18446744073709551615")), MAX_CAPACITY);
+        assert_eq!(parse_cap(Some("18446744073709551616")), DEFAULT_CAPACITY);
     }
 
     #[test]
@@ -904,6 +867,12 @@ mod tests {
         assert_eq!(parse_shards(Some("0")), default_shards());
         assert_eq!(parse_shards(Some("banana")), default_shards());
         assert_eq!(parse_shards(None), default_shards());
+        // Huge values clamp instead of allocating 2^40 shards.
+        assert_eq!(parse_shards(Some("1024")), MAX_SHARDS);
+        assert_eq!(parse_shards(Some("1025")), MAX_SHARDS);
+        assert_eq!(parse_shards(Some("1099511627776")), MAX_SHARDS);
+        assert_eq!(parse_shards(Some("18446744073709551615")), MAX_SHARDS);
+        assert!(MAX_SHARDS.is_power_of_two());
         assert!(default_shards().is_power_of_two());
         assert!(default_shards() >= 4);
     }

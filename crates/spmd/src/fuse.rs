@@ -49,16 +49,15 @@
 //! and LRU eviction cover them for free. Traversal order equals
 //! [`RunPlan::for_each_segment`] order.
 //!
-//! Under [`bcag_core::tune::TuneMode::Auto`] (the default) epochs whose
-//! working set spills L2 are **blocked**: [`epoch_block_elems`] derives
-//! an L2-resident chunk size, physical messages split into ≤-block-sized
-//! payloads at compile time (sender and receiver derive identical split
-//! points from the same schedule, so no wire metadata is added), and
-//! communication-free expression epochs stage → move → apply one
-//! L2-sized address range at a time instead of snapshotting the whole
-//! local image. The block size is part of the fused cache key, so
-//! `BCAG_TUNE` A/B flips never reuse programs compiled for the other
-//! regime.
+//! Epochs whose working set spills L2 are **blocked**:
+//! [`epoch_block_elems`] derives an L2-resident chunk size, physical
+//! messages split into ≤-block-sized payloads at compile time (sender
+//! and receiver derive identical split points from the same schedule,
+//! so no wire metadata is added), and communication-free expression
+//! epochs stage → move → apply one L2-sized address range at a time
+//! instead of snapshotting the whole local image. The block size is part
+//! of the fused cache key, so a program compiled unblocked (block `0`)
+//! and its blocked twin are distinct entries.
 //!
 //! [`RunPlan::for_each_segment`]: bcag_core::runs::RunPlan::for_each_segment
 
@@ -70,13 +69,12 @@ use bcag_core::error::{BcagError, Result};
 use bcag_core::lower::{lower_plan, ShapeClass};
 use bcag_core::method::Method;
 use bcag_core::section::RegularSection;
-use bcag_core::tune::{self, TuneMode};
+use bcag_core::tune;
 
 use crate::cache;
 use crate::comm::wire::{self, PackValue};
 use crate::comm::ExecMode;
 use crate::darray::DistArray;
-use crate::pack::{self, PackMode};
 use crate::pool::{self, lock_clean, BufferArena, LaunchMode, NodeCtx};
 use crate::transport::{self, TransportKind};
 
@@ -102,8 +100,7 @@ pub fn default_fused() -> FusedMode {
 }
 
 /// 0 = no fused epoch ran yet, 1 = last epoch was unblocked, 2 = last
-/// epoch ran L2-blocked — the flight recorder's companion to
-/// [`crate::pack::last_pack_mode`].
+/// epoch ran L2-blocked — the flight recorder's `blk` column.
 static LAST_BLOCKED: AtomicU8 = AtomicU8::new(0);
 
 pub(crate) fn note_blocked(blocked: bool) {
@@ -121,20 +118,17 @@ pub fn last_blocked() -> Option<bool> {
 }
 
 /// Transfer block size (in elements) for a statement whose LHS section
-/// is `sec_a`: zero (unblocked) under [`TuneMode::Fixed`], otherwise the
-/// L2-residency cap of [`tune::block_elems_for`] — zero again when the
-/// statement's working set fits. The value feeds [`compile`] and is part
-/// of the fused cache key ([`crate::cache::fused`]), so `BCAG_TUNE` A/B
-/// flips and test-local L2 overrides never share compiled programs.
+/// is `sec_a`: the L2-residency cap of [`tune::block_elems_for`], zero
+/// (unblocked) when the statement's working set fits. The value feeds
+/// [`compile`] and is part of the fused cache key
+/// ([`crate::cache::fused`]), so test-local L2 overrides never share
+/// compiled programs.
 pub fn epoch_block_elems<T: PackValue>(sec_a: &RegularSection) -> usize {
-    match tune::default_tune() {
-        TuneMode::Fixed => 0,
-        TuneMode::Auto => tune::block_elems_for(
-            sec_a.count() as u64,
-            std::mem::size_of::<T>(),
-            tune::l2_bytes(),
-        ),
-    }
+    tune::block_elems_for(
+        sec_a.count() as u64,
+        std::mem::size_of::<T>(),
+        tune::l2_bytes(),
+    )
 }
 
 /// Upper bound on the number of message blocks one directed (src, dst)
@@ -511,11 +505,9 @@ impl<T: PackValue> FusedStatement<T> {
         self.epoch(a, &[b], None, launch, kind);
     }
 
-    /// Epoch-level bookkeeping: the flight recorder's pack-mode and
-    /// blocking notes and, when `counted`, the once-per-statement
-    /// counters.
+    /// Epoch-level bookkeeping: the flight recorder's blocking note and,
+    /// when `counted`, the once-per-statement counters.
     fn note_epoch(&self, counted: bool) {
-        pack::note_pack_mode(PackMode::Runs);
         note_blocked(self.blocked);
         if counted {
             bcag_trace::count("fused_epochs", 1);
@@ -1434,8 +1426,8 @@ mod tests {
         // A different element type is a distinct cache entry.
         let other = cached::<f64>(0);
         assert!(other.census() == first.census());
-        // A different block size is a distinct cache entry too: tune
-        // A/B flips must never reuse the other regime's programs.
+        // A different block size is a distinct cache entry too: a
+        // blocked/unblocked A/B must never reuse the other's program.
         let chunked = cached::<i64>(7);
         assert!(!Arc::ptr_eq(&first, &chunked));
     }

