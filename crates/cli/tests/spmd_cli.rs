@@ -93,7 +93,8 @@ fn spmd_trace_merges_per_node_lanes() {
 /// by the compiled programs' message blocks are compared.) Each process
 /// counts only its own row, so `msg_bytes` (one sample per logical
 /// message) and `recv_wait_ns` (one per received block) sum to the
-/// in-process totals.
+/// in-process totals, as do the epoch-phase histograms (one sample per
+/// node per epoch, each process timing only its own node).
 #[test]
 fn spmd_merged_histogram_counts_match_in_process_run() {
     let dir = std::env::temp_dir().join(format!("bcag-spmd-hist-{}", std::process::id()));
@@ -138,13 +139,68 @@ fn spmd_merged_histogram_counts_match_in_process_run() {
                 .and_then(|c| c.as_i64())
                 .unwrap_or_else(|| panic!("{name}: histogram {hist} missing"))
         };
-        for hist in ["recv_wait_ns", "msg_bytes"] {
+        for hist in [
+            "recv_wait_ns",
+            "msg_bytes",
+            "fuse_stage_ns",
+            "fuse_send_ns",
+            "fuse_drain_ns",
+            "fuse_apply_ns",
+        ] {
             let (s, i) = (count(&spmd, hist), count(&inproc, hist));
             assert_eq!(
                 s, i,
                 "{name} {hist}: merged spmd count {s} != in-process {i}"
             );
             assert!(s > 0, "{name} {hist}: empty distribution");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Statements whose sections reach past their arrays — the LHS, or an
+/// operand — or whose operand triplet is not an integer fail with a typed
+/// error, in process and in every node process of a session alike: exit
+/// 2 with an `error:` line, the same as an out-of-range `PRINT`, and no
+/// node panics.
+#[test]
+fn hostile_statements_fail_cleanly() {
+    let dir = std::env::temp_dir().join(format!("bcag-out-of-range-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let header = "PROCESSORS P(4)\n\
+                  TEMPLATE TA(400)\nREAL A(400)\n\
+                  !HPF$ ALIGN A(i) WITH TA(i)\n\
+                  !HPF$ DISTRIBUTE TA(CYCLIC(8)) ONTO P\n\
+                  TEMPLATE TB(400)\nREAL B(400)\n\
+                  !HPF$ ALIGN B(i) WITH TB(i)\n\
+                  !HPF$ DISTRIBUTE TB(CYCLIC(5)) ONTO P\n\
+                  INIT B LINEAR 1 0\nINIT A CONST 0\n";
+    let statements = [
+        "ASSIGN A(0:1000:3) = B(0:1000:3) + 1",
+        "ASSIGN A(0:10:1) = B(390:400:1) + 1",
+        "ASSIGN A(0:9:1) = B(0.7:9.9:1) + 1",
+        "PRINT SUM A(0:1000:3)",
+    ];
+    for (i, stmt) in statements.iter().enumerate() {
+        let path = dir.join(format!("hostile{i}.hpf"));
+        std::fs::write(&path, format!("{header}{stmt}\nPRINT SUM A(0:99:3)\n")).unwrap();
+        let script = path.to_str().unwrap();
+        for args in [
+            vec!["run", "--file", script],
+            vec!["spmd", "--file", script, "--procs", "4"],
+        ] {
+            let (_, stderr, code) = bcag(&args, &[]);
+            assert_eq!(code, 2, "{stmt} under {}: {stderr}", args[0]);
+            assert!(
+                stderr.lines().any(|l| l.starts_with("error:")),
+                "{stmt} under {}: {stderr}",
+                args[0]
+            );
+            assert!(
+                !stderr.contains("panicked"),
+                "{stmt} under {}: {stderr}",
+                args[0]
+            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();

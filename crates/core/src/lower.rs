@@ -7,9 +7,8 @@
 //! epoch). This module moves that branch to compile time: [`lower_plan`]
 //! unrolls the full clamped traversal once and tags every segment with
 //! its [`ShapeClass`], so a downstream compiler (`bcag-spmd::fuse`) can
-//! bind each segment to a gap-specialized kernel — a function pointer
-//! selected once, with the gap constant-folded into its body — and the
-//! executed epoch contains no per-run dispatch at all.
+//! store each segment as plain data and its walkers can run the segment
+//! with the class's literal gap constant-folded into the loop.
 //!
 //! The trade is memory for dispatch: a lowered plan stores every segment
 //! of the traversal (the periodic structure is gone), which is fine for

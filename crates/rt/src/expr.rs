@@ -88,7 +88,9 @@ pub fn eval_ast(e: &Expr, args: &[f64]) -> f64 {
 
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
-    Num(f64),
+    /// A numeric literal: its value, and its source text, which section
+    /// triplets parse as an exact integer.
+    Num(f64, String),
     Name(String),
     LParen,
     RParen,
@@ -153,7 +155,7 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, ParseError> {
                 let v: f64 = text
                     .parse()
                     .map_err(|_| ParseError(format!("bad number `{text}`")))?;
-                toks.push(Tok::Num(v));
+                toks.push(Tok::Num(v, text));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
@@ -231,7 +233,7 @@ impl Parser {
 
     fn factor(&mut self) -> Result<Expr, ParseError> {
         match self.bump() {
-            Some(Tok::Num(v)) => Ok(Expr::Num(v)),
+            Some(Tok::Num(v, _)) => Ok(Expr::Num(v)),
             Some(Tok::Minus) => Ok(Expr::Neg(Box::new(self.factor()?))),
             Some(Tok::LParen) => {
                 let e = self.expr()?;
@@ -240,11 +242,11 @@ impl Parser {
             }
             Some(Tok::Name(name)) => {
                 self.expect(&Tok::LParen)?;
-                // One triplet: l [: u [: s]] — numbers only.
-                let l = self.number()? as i64;
+                // One triplet: l [: u [: s]] — integer literals only.
+                let l = self.integer()?;
                 let (u, s) = if matches!(self.peek(), Some(Tok::Colon)) {
                     self.bump();
-                    let u = self.number()? as i64;
+                    let u = self.integer()?;
                     let s = if matches!(self.peek(), Some(Tok::Colon)) {
                         self.bump();
                         // Allow a signed stride.
@@ -254,7 +256,7 @@ impl Parser {
                         } else {
                             false
                         };
-                        let v = self.number()? as i64;
+                        let v = self.integer()?;
                         if neg {
                             -v
                         } else {
@@ -281,9 +283,14 @@ impl Parser {
         }
     }
 
-    fn number(&mut self) -> Result<f64, ParseError> {
+    /// A section bound or stride: the literal's text parsed as an exact
+    /// `i64`, so a fraction or an out-of-range value is an error rather
+    /// than a truncated or rounded float.
+    fn integer(&mut self) -> Result<i64, ParseError> {
         match self.bump() {
-            Some(Tok::Num(v)) => Ok(v),
+            Some(Tok::Num(_, text)) => text
+                .parse()
+                .map_err(|_| ParseError(format!("expected an integer, got `{text}`"))),
             got => err(format!("expected a number, got {got:?}")),
         }
     }
@@ -413,7 +420,7 @@ impl AffineParser {
 
     fn factor(&mut self) -> Result<Expr, ParseError> {
         match self.inner.bump() {
-            Some(Tok::Num(v)) => Ok(Expr::Num(v)),
+            Some(Tok::Num(v, _)) => Ok(Expr::Num(v)),
             Some(Tok::Minus) => Ok(Expr::Neg(Box::new(self.factor()?))),
             Some(Tok::LParen) => {
                 let e = self.expr()?;
@@ -444,7 +451,7 @@ impl AffineParser {
         let (mut a, mut b) = (0i64, 0i64);
         // Leading term.
         match self.inner.bump() {
-            Some(Tok::Num(v)) => {
+            Some(Tok::Num(v, _)) => {
                 if matches!(self.inner.peek(), Some(Tok::Star)) {
                     self.inner.bump();
                     match self.inner.bump() {
@@ -460,7 +467,7 @@ impl AffineParser {
                 if matches!(self.inner.peek(), Some(Tok::Star)) {
                     self.inner.bump();
                     match self.inner.bump() {
-                        Some(Tok::Num(v)) => a = v as i64,
+                        Some(Tok::Num(v, _)) => a = v as i64,
                         got => return err(format!("expected a coefficient, got {got:?}")),
                     }
                 }
@@ -472,14 +479,14 @@ impl AffineParser {
             Some(Tok::Plus) => {
                 self.inner.bump();
                 match self.inner.bump() {
-                    Some(Tok::Num(v)) => b += v as i64,
+                    Some(Tok::Num(v, _)) => b += v as i64,
                     got => return err(format!("expected an offset, got {got:?}")),
                 }
             }
             Some(Tok::Minus) => {
                 self.inner.bump();
                 match self.inner.bump() {
-                    Some(Tok::Num(v)) => b -= v as i64,
+                    Some(Tok::Num(v, _)) => b -= v as i64,
                     got => return err(format!("expected an offset, got {got:?}")),
                 }
             }
@@ -533,6 +540,39 @@ mod tests {
         assert!(parse_expr("$").is_err());
         assert!(parse_expr("1 2").is_err());
         assert!(parse_expr("B(1").is_err());
+    }
+
+    /// Operand triplets are exact integers, rejected with the LHS's
+    /// message when fractional — never truncated, and never rounded
+    /// through a float past 2^53.
+    #[test]
+    fn operand_triplets_are_integers() {
+        let lhs_err = parse_lhs("A(0.5:9:1)").unwrap_err().0;
+        assert!(
+            lhs_err.contains("expected an integer, got `0.5`"),
+            "{lhs_err}"
+        );
+        for (src, bad) in [
+            ("B(0.7:9.9:1) + 1", "0.7"),
+            ("B(0:9.9:1) + 1", "9.9"),
+            ("B(0:9:1.9) + 1", "1.9"),
+            ("B(9:0:-1.5)", "1.5"),
+            ("2 * B(0:99999999999999999999:1)", "99999999999999999999"),
+        ] {
+            let e = parse_expr(src).unwrap_err().0;
+            assert!(
+                e.contains(&format!("expected an integer, got `{bad}`")),
+                "{src}: {e}"
+            );
+        }
+        let e = parse_expr("B(9007199254740993:9007199254741001:4) + 0.5").unwrap();
+        let sec = e.refs[0].section;
+        assert_eq!(
+            (sec.l, sec.u, sec.s),
+            (9_007_199_254_740_993, 9_007_199_254_741_001, 4)
+        );
+        // Scalars stay floating point.
+        assert_eq!(e.eval(&[1.0]), 1.5);
     }
 
     #[test]

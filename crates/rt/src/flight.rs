@@ -205,8 +205,15 @@ fn truncate(s: &str, max: usize) -> String {
 mod tests {
     use super::*;
 
+    /// Held by every test here that reads the ring back: the ring is
+    /// process-global and `cargo test` runs tests on parallel threads,
+    /// so one test's `clear` could otherwise empty another's ring
+    /// between its `record` and its `snapshot`.
+    static RING_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn ring_is_bounded_and_ordered() {
+        let _serial = RING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         clear();
         for i in 0..(CAPACITY + 10) {
             let b = Baseline::capture();
@@ -261,6 +268,7 @@ mod tests {
         let mut a = bcag_spmd::darray::DistArray::new(2, 4, 64, 0i64).unwrap();
         let b = bcag_spmd::darray::DistArray::new(2, 4, 64, 5i64).unwrap();
         let sec = bcag_core::section::RegularSection::new(0, 63, 1).unwrap();
+        let _serial = RING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let base = Baseline::capture();
         bcag_spmd::statement::assign_expr(&mut a, &sec, &[(&b, sec)], |v| v[0]).unwrap();
         record("rt.ASSIGN", "ASSIGN A(0:63:1) = B(0:63:1)", base, true);

@@ -8,13 +8,17 @@
 //! structure is computable ahead of execution.
 //!
 //! This module compiles a statement shape once into a [`FusedStatement`]:
-//! a per-node program whose every step — same-node move, gather, scatter,
-//! elementwise apply — is bound to a **gap-specialized kernel function
-//! pointer** selected from a macro-expanded shape table over
-//! [`ShapeClass`] ([`bcag_core::lower`]). The literal gap constant-folds
-//! through the [`PackValue`] primitives, so the executed epoch contains
-//! no per-run `match`, no per-statement schedule walk, and exactly **one
-//! pool dispatch** for the whole statement. Because the compiler sees
+//! a per-node program of **data-only steps** — same-node move, gather,
+//! scatter, elementwise apply — each an affine walk (address, gap,
+//! length) tagged with its [`ShapeClass`] ([`bcag_core::lower`]). The
+//! epoch is **monomorphized over the statement body** `f`: one walker per
+//! phase matches a step's class once and runs the step's loop with the
+//! class's literal gap, which constant-folds through the [`PackValue`]
+//! primitives, and the apply loop calls `f` inline on a fixed-size
+//! argument array (a reused `Vec` only past three operands) — no
+//! function pointer and no trait-object call per element. The executed
+//! epoch does no per-statement schedule walk and exactly **one pool
+//! dispatch** for the whole statement. Because the compiler sees
 //! every operand at once, it also **coalesces messages by destination**:
 //! all logical (operand, peer) messages of the statement merge into one
 //! physical message per peer per epoch. Trace counters are still charged
@@ -44,6 +48,14 @@
 //!   per-process traces equal in-process ones, and malformed inbound
 //!   frames are [`BcagError::Protocol`] errors.
 //!
+//! Every run first checks that each section lies inside its array, so an
+//! out-of-range statement is a [`BcagError::Precondition`] rather than a
+//! node panic. While tracing, every node records one sample per epoch
+//! into `fuse_stage_ns`, `fuse_send_ns` and `fuse_drain_ns` (the receive
+//! loop, waits included), plus `fuse_apply_ns` for expressions, on its
+//! own lane; the replicated run times only its own node, so merged
+//! `--procs` histograms count exactly what an in-process run does.
+//!
 //! Programs are cached in the sharded plan cache ([`crate::cache::fused`])
 //! next to the schedules they were compiled from, so single-flight builds
 //! and LRU eviction cover them for free. Traversal order equals
@@ -61,6 +73,7 @@
 //!
 //! [`RunPlan::for_each_segment`]: bcag_core::runs::RunPlan::for_each_segment
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -139,185 +152,73 @@ pub fn epoch_block_elems<T: PackValue>(sec_a: &RegularSection) -> usize {
 /// past the L2 target rather than exceed this count.
 const MAX_BLOCKS_PER_PEER: usize = crate::transport::ring::RING_CAP / 2;
 
-/// Gather kernel: append `len` elements read from `src` at
-/// `(addr, addr + gap, …)` onto the message buffer. The gap is
-/// constant-folded for the specialized classes.
-type GatherFn<T> = fn(&mut Vec<T>, &[T], usize, usize, usize);
-
-/// Scatter kernel: write a packed value run into `dst` at
-/// `(addr, addr + gap, …)`.
-type ScatterFn<T> = fn(&mut [T], usize, usize, &[T]);
-
-/// Same-node move kernel: `(dst, src, daddr, dgap, saddr, sgap, len)`,
-/// both gaps constant-folded for the specialized class pairs.
-type MoveFn<T> = fn(&mut [T], &[T], usize, usize, usize, usize, usize);
-
-/// Elementwise apply kernel: `(local, stagings, args, f, addr, gap,
-/// len)` — the owner-computes loop body with the LHS gap
-/// constant-folded.
-type ApplyFn<T> = fn(&mut [T], &[Vec<T>], &mut Vec<T>, &dyn Fn(&[T]) -> T, usize, usize, usize);
-
-/// Selects the gather kernel for one source shape class: the macro
-/// expands one non-capturing closure per literal gap, so the
-/// [`PackValue::extend_run`] gap `match` folds away at monomorphization.
-fn gather_kernel<T: PackValue>(class: ShapeClass) -> GatherFn<T> {
-    macro_rules! k {
-        ($g:literal) => {
-            |out: &mut Vec<T>, src: &[T], addr: usize, _gap: usize, len: usize| {
-                T::extend_run(out, src, addr, $g, len)
+/// Runs `$body` with `$g` bound to a step's gap: the literal gap of a
+/// specialized [`ShapeClass`], which constant-folds into the step's loop
+/// and through the [`PackValue`] primitives, or the runtime `$gap` for
+/// [`ShapeClass::Wide`]. Every phase walker dispatches through this
+/// once per step, so the compiled steps stay plain data.
+macro_rules! with_gap {
+    ($class:expr, $gap:expr, |$g:ident| $body:expr) => {
+        match $class {
+            ShapeClass::Memcpy => {
+                let $g: usize = 1;
+                $body
             }
-        };
-    }
-    match class {
-        ShapeClass::Memcpy => k!(1),
-        ShapeClass::Stride2 => k!(2),
-        ShapeClass::Stride3 => k!(3),
-        ShapeClass::Stride4 => k!(4),
-        ShapeClass::Wide => |out: &mut Vec<T>, src: &[T], addr: usize, gap: usize, len: usize| {
-            T::extend_run(out, src, addr, gap, len)
-        },
-    }
-}
-
-/// Selects the scatter kernel for one destination shape class (see
-/// [`gather_kernel`]).
-fn scatter_kernel<T: PackValue>(class: ShapeClass) -> ScatterFn<T> {
-    macro_rules! k {
-        ($g:literal) => {
-            |dst: &mut [T], addr: usize, _gap: usize, vals: &[T]| T::write_run(dst, addr, $g, vals)
-        };
-    }
-    match class {
-        ShapeClass::Memcpy => k!(1),
-        ShapeClass::Stride2 => k!(2),
-        ShapeClass::Stride3 => k!(3),
-        ShapeClass::Stride4 => k!(4),
-        ShapeClass::Wide => {
-            |dst: &mut [T], addr: usize, gap: usize, vals: &[T]| T::write_run(dst, addr, gap, vals)
-        }
-    }
-}
-
-/// Selects the same-node move kernel for one `(source, destination)`
-/// shape class pair: a 4×4 grid of gap-literal kernels (the `(1, 1)`
-/// cell is a straight slice copy), with one runtime-gap fallback for
-/// pairs involving a wide stride.
-fn move_kernel<T: PackValue>(s: ShapeClass, d: ShapeClass) -> MoveFn<T> {
-    macro_rules! k {
-        ($sg:literal, $dg:literal) => {
-            |dst: &mut [T], src: &[T], da: usize, _dg: usize, sa: usize, _sg: usize, len: usize| {
-                for j in 0..len {
-                    dst[da + j * $dg] = src[sa + j * $sg].clone();
-                }
+            ShapeClass::Stride2 => {
+                let $g: usize = 2;
+                $body
             }
-        };
-    }
-    use ShapeClass::*;
-    match (s, d) {
-        (Memcpy, Memcpy) => {
-            |dst: &mut [T], src: &[T], da: usize, _dg: usize, sa: usize, _sg: usize, len: usize| {
-                dst[da..da + len].clone_from_slice(&src[sa..sa + len])
+            ShapeClass::Stride3 => {
+                let $g: usize = 3;
+                $body
+            }
+            ShapeClass::Stride4 => {
+                let $g: usize = 4;
+                $body
+            }
+            ShapeClass::Wide => {
+                let $g: usize = $gap;
+                $body
             }
         }
-        (Memcpy, Stride2) => k!(1, 2),
-        (Memcpy, Stride3) => k!(1, 3),
-        (Memcpy, Stride4) => k!(1, 4),
-        (Stride2, Memcpy) => k!(2, 1),
-        (Stride2, Stride2) => k!(2, 2),
-        (Stride2, Stride3) => k!(2, 3),
-        (Stride2, Stride4) => k!(2, 4),
-        (Stride3, Memcpy) => k!(3, 1),
-        (Stride3, Stride2) => k!(3, 2),
-        (Stride3, Stride3) => k!(3, 3),
-        (Stride3, Stride4) => k!(3, 4),
-        (Stride4, Memcpy) => k!(4, 1),
-        (Stride4, Stride2) => k!(4, 2),
-        (Stride4, Stride3) => k!(4, 3),
-        (Stride4, Stride4) => k!(4, 4),
-        (Wide, _) | (_, Wide) => {
-            |dst: &mut [T], src: &[T], da: usize, dg: usize, sa: usize, sg: usize, len: usize| {
-                for j in 0..len {
-                    dst[da + j * dg] = src[sa + j * sg].clone();
-                }
-            }
-        }
-    }
+    };
 }
 
-/// Selects the owner-computes apply kernel for one LHS segment class:
-/// the traversal gap folds into the loop body, so the hot loop is a
-/// plain affine walk with no per-element address table.
-fn apply_kernel<T: PackValue>(class: ShapeClass) -> ApplyFn<T> {
-    macro_rules! k {
-        ($g:literal) => {
-            |local: &mut [T],
-             stagings: &[Vec<T>],
-             args: &mut Vec<T>,
-             f: &dyn Fn(&[T]) -> T,
-             addr: usize,
-             _gap: usize,
-             len: usize| {
-                for j in 0..len {
-                    let at = addr + j * $g;
-                    args.clear();
-                    for st in stagings {
-                        args.push(st[at].clone());
-                    }
-                    local[at] = f(args.as_slice());
-                }
-            }
-        };
-    }
-    match class {
-        ShapeClass::Memcpy => k!(1),
-        ShapeClass::Stride2 => k!(2),
-        ShapeClass::Stride3 => k!(3),
-        ShapeClass::Stride4 => k!(4),
-        ShapeClass::Wide => |local: &mut [T],
-                             stagings: &[Vec<T>],
-                             args: &mut Vec<T>,
-                             f: &dyn Fn(&[T]) -> T,
-                             addr: usize,
-                             gap: usize,
-                             len: usize| {
-            for j in 0..len {
-                let at = addr + j * gap;
-                args.clear();
-                for st in stagings {
-                    args.push(st[at].clone());
-                }
-                local[at] = f(args.as_slice());
-            }
-        },
-    }
+/// The walker class of a gap for elements of type `T`. A specialized
+/// class always means exactly its literal gap, which [`with_gap!`]
+/// relies on.
+fn class_of<T>(gap: i64) -> ShapeClass {
+    ShapeClass::of_gap_for(gap, std::mem::size_of::<T>())
 }
 
-/// One same-node transfer run, kernel-bound at compile time.
-struct MoveStep<T> {
+/// One same-node transfer run: `len` elements from `src, src + sgap, …`
+/// to `dst, dst + dgap, …`.
+struct MoveStep {
     dst: usize,
     dgap: usize,
+    dclass: ShapeClass,
     src: usize,
     sgap: usize,
+    sclass: ShapeClass,
     len: usize,
-    kernel: MoveFn<T>,
 }
 
 /// One gather segment of an outgoing message, reading from operand
 /// `op`'s local memory.
-struct GatherStep<T> {
+struct GatherStep {
     op: usize,
     addr: usize,
     gap: usize,
+    class: ShapeClass,
     len: usize,
-    kernel: GatherFn<T>,
 }
 
 /// One ≤-block-sized chunk of an outgoing physical message: the gather
 /// segments whose packed payload this chunk carries. Unblocked plans
 /// have exactly one block per peer.
-struct SendBlock<T> {
+struct SendBlock {
     elements: usize,
-    gathers: Vec<GatherStep<T>>,
+    gathers: Vec<GatherStep>,
 }
 
 /// The outgoing traffic from this node to `dst`: every operand's
@@ -327,22 +228,22 @@ struct SendBlock<T> {
 /// (operand, destination) message so trace totals equal the per-operand
 /// schedules' closed forms; they are emitted once per peer, on the first
 /// block.
-struct SendPlan<T> {
+struct SendPlan {
     dst: usize,
     charges: Vec<u64>,
-    blocks: Vec<SendBlock<T>>,
+    blocks: Vec<SendBlock>,
 }
 
 /// One scatter segment of an inbound message: where the next `len`
 /// packed values (at `off` in the payload) land in operand `op`'s
 /// staging buffer.
-struct ScatterStep<T> {
+struct ScatterStep {
     op: usize,
     addr: usize,
     gap: usize,
+    class: ShapeClass,
     len: usize,
     off: usize,
-    kernel: ScatterFn<T>,
 }
 
 /// The expected inbound traffic from `src` — the schedule is global
@@ -354,18 +255,18 @@ struct ScatterStep<T> {
 /// Per-producer FIFO on every transport (one mpsc channel or SPSC ring
 /// per directed pair in process, the router's per-source order across
 /// processes) keeps block order deterministic.
-struct RecvPlan<T> {
+struct RecvPlan {
     src: usize,
     charges: Vec<u64>,
-    blocks: Vec<Vec<ScatterStep<T>>>,
+    blocks: Vec<Vec<ScatterStep>>,
 }
 
 /// One LHS traversal segment of the owner-computes loop.
-struct ApplyStep<T> {
+struct ApplyStep {
     addr: usize,
     gap: usize,
+    class: ShapeClass,
     len: usize,
-    kernel: ApplyFn<T>,
 }
 
 /// One L2-sized address range `[lo, hi)` of a blocked
@@ -377,32 +278,32 @@ struct ApplyStep<T> {
 /// partition the address space: each range's snapshot still reads
 /// pre-statement values (earlier ranges wrote disjoint addresses), and
 /// every apply address reads staging within its own range.
-struct LocalBlock<T> {
+struct LocalBlock {
     lo: usize,
     hi: usize,
-    moves: Vec<Vec<MoveStep<T>>>,
-    apply: Vec<ApplyStep<T>>,
+    moves: Vec<Vec<MoveStep>>,
+    apply: Vec<ApplyStep>,
 }
 
 /// The compiled epoch of one node: every data-movement and compute step
-/// of the whole statement, kernel-bound, plus the precomputed trace
+/// of the whole statement as plain data, plus the precomputed trace
 /// counter totals the epoch charges (the per-operand schedules' own-row
 /// totals, summed).
-struct NodeProgram<T> {
+struct NodeProgram {
     /// Same-node transfer runs, per operand.
-    self_moves: Vec<Vec<MoveStep<T>>>,
+    self_moves: Vec<Vec<MoveStep>>,
     /// Outgoing physical messages, one per destination with traffic.
-    sends: Vec<SendPlan<T>>,
+    sends: Vec<SendPlan>,
     /// Expected inbound physical messages, one per source with traffic.
-    recvs: Vec<RecvPlan<T>>,
+    recvs: Vec<RecvPlan>,
     /// Owner-computes traversal segments.
-    apply: Vec<ApplyStep<T>>,
+    apply: Vec<ApplyStep>,
     /// L2-blocked ranges for communication-free epochs (empty when the
     /// node communicates or the program is unblocked); when non-empty,
     /// the expression epoch runs these instead of `self_moves` + `apply`,
     /// which are still compiled for the copy and replicated runs and so
     /// [`FusedStatement::census`] stays blocking-independent.
-    local_blocks: Vec<LocalBlock<T>>,
+    local_blocks: Vec<LocalBlock>,
     /// Total outgoing transfers (all destinations, self included).
     moved: u64,
     /// Non-empty non-self destinations (messages really sent).
@@ -424,11 +325,13 @@ const WIRE_TAG_BYTES: usize = 4;
 /// sharded plan cache, executed many times by [`FusedStatement::execute`].
 pub struct FusedStatement<T: PackValue> {
     p: i64,
-    nodes: Vec<NodeProgram<T>>,
+    nodes: Vec<NodeProgram>,
     /// Whether any node's epoch is L2-blocked (chunked messages or
     /// blocked local ranges) — drives the `tune_decision_blocked`
     /// counter and the flight recorder's blocked flag.
     blocked: bool,
+    /// The element type the steps' classes were chosen for.
+    elem: PhantomData<T>,
 }
 
 /// Structural summary of a compiled [`FusedStatement`] — totals over all
@@ -469,7 +372,8 @@ impl<T: PackValue> FusedStatement<T> {
     }
 
     /// Runs the expression epoch: one pool dispatch executes stage →
-    /// pack/send → drain/scatter → apply for the whole statement.
+    /// pack/send → drain/scatter → apply for the whole statement, with
+    /// the apply loop monomorphized over `f`.
     /// `operands` must be the arrays the program was compiled for, in
     /// compile order (same `p`, `k`, and sections); contents are free to
     /// vary. Inside a multi-process session use the statement entry
@@ -502,7 +406,7 @@ impl<T: PackValue> FusedStatement<T> {
             self.nodes.iter().all(|n| n.self_moves.len() == 1),
             "a copy runs a one-operand program"
         );
-        self.epoch(a, &[b], None, launch, kind);
+        self.epoch(a, &[b], None::<&NoBody<T>>, launch, kind);
     }
 
     /// Epoch-level bookkeeping: the flight recorder's blocking note and,
@@ -519,14 +423,16 @@ impl<T: PackValue> FusedStatement<T> {
 
     /// The pool epoch behind [`FusedStatement::execute`] (`f` is `Some`)
     /// and [`FusedStatement::copy`] (`f` is `None`).
-    fn epoch(
+    fn epoch<F>(
         &self,
         a: &mut DistArray<T>,
         operands: &[&DistArray<T>],
-        f: Option<&Apply<'_, T>>,
+        f: Option<&F>,
         launch: LaunchMode,
         kind: TransportKind,
-    ) {
+    ) where
+        F: Fn(&[T]) -> T + Sync + ?Sized,
+    {
         assert_eq!(a.p(), self.p, "LHS machine size mismatch");
         let _sp = bcag_trace::span("fuse.execute");
         let _t = bcag_trace::timed_span("fuse_execute_ns");
@@ -538,6 +444,7 @@ impl<T: PackValue> FusedStatement<T> {
             let mut slot = lock_clean(&slots[me]);
             let ops: Vec<&[T]> = operands.iter().map(|b| b.local(me as i64)).collect();
             self.nodes[me].run_epoch(me, ctx, &mut slot, &ops, f);
+            bcag_trace::gauge("pool_arena_bytes", ctx.arena().bytes() as u64);
         });
     }
 
@@ -547,15 +454,19 @@ impl<T: PackValue> FusedStatement<T> {
     /// every other `(src, dst)` block is delivered in process with
     /// `nodes[src]`'s send block and `nodes[dst]`'s matching receive
     /// block, whose split points the compiler made identical. Only the
-    /// own row is counted (and the once-per-statement counters only on
-    /// node 0), so merged per-process traces equal an in-process run's.
-    fn replicated(
+    /// own row is counted and timed (and the once-per-statement counters
+    /// only on node 0), so merged per-process traces equal an in-process
+    /// run's.
+    fn replicated<F>(
         &self,
         a: &mut DistArray<T>,
         operands: &[&DistArray<T>],
-        f: Option<&Apply<'_, T>>,
+        f: Option<&F>,
         session: &transport::proc::Session,
-    ) -> Result<()> {
+    ) -> Result<()>
+    where
+        F: Fn(&[T]) -> T + Sync + ?Sized,
+    {
         if T::WIRE_BYTES.is_none() {
             return Err(BcagError::Precondition(
                 "multi-process execution requires a fixed-width wire payload type",
@@ -578,16 +489,20 @@ impl<T: PackValue> FusedStatement<T> {
             |n: usize| -> Vec<&[T]> { operands.iter().map(|b| b.local(n as i64)).collect() };
         let mut arena = BufferArena::default();
         let locals = a.locals_mut();
-        let mut stagings: Vec<Vec<Vec<T>>> = locals
-            .iter_mut()
-            .enumerate()
-            .map(|(n, local)| self.nodes[n].stage(local, &ops_of(n), copy, &mut arena))
-            .collect();
-        self.nodes[me].count_row();
+        let mut stagings: Vec<Vec<Vec<T>>> = Vec::with_capacity(p);
+        for (n, local) in locals.iter_mut().enumerate() {
+            let t = PhaseTimer::start();
+            stagings.push(self.nodes[n].stage(local, &ops_of(n), copy, &mut arena));
+            if n == me {
+                t.record("fuse_stage_ns");
+            }
+        }
+        self.nodes[me].count_row::<T>();
         // Own row first, so peers blocked on it progress, then every
         // other row; inbound blocks of this node arrive from the pipes.
         let mut vals: Vec<T> = Vec::new();
         for src in std::iter::once(me).chain((0..p).filter(|&n| n != me)) {
+            let t = PhaseTimer::start();
             let ops = ops_of(src);
             for send in self.nodes[src].sends.iter().filter(|s| s.dst != me) {
                 let plan = self.nodes[send.dst]
@@ -608,7 +523,11 @@ impl<T: PackValue> FusedStatement<T> {
                     scatter(&plan.blocks[bi], &vals, targets);
                 }
             }
+            if src == me {
+                t.record("fuse_send_ns");
+            }
         }
+        let t = PhaseTimer::start();
         let mut wait_ns = 0u64;
         for plan in &self.nodes[me].recvs {
             for (bi, steps) in plan.blocks.iter().enumerate() {
@@ -634,18 +553,49 @@ impl<T: PackValue> FusedStatement<T> {
                 );
             }
         }
+        t.record("fuse_drain_ns");
         bcag_trace::count("recv_wait_ns", wait_ns);
         if let Some(f) = f {
-            for ((prog, local), st) in self.nodes.iter().zip(locals.iter_mut()).zip(&stagings) {
-                apply_steps(local, st, &prog.apply, f);
+            for (n, (local, st)) in locals.iter_mut().zip(&stagings).enumerate() {
+                let t = PhaseTimer::start();
+                apply_steps(local, st, &self.nodes[n].apply, f);
+                if n == me {
+                    t.record("fuse_apply_ns");
+                }
             }
         }
         Ok(())
     }
 }
 
-/// The elementwise body of an expression run, shared by every node job.
-type Apply<'f, T> = dyn Fn(&[T]) -> T + Sync + 'f;
+/// The body type parameter of a copy run. A copy has no body — its `f`
+/// is always `None` — so no function of this type is ever called.
+type NoBody<T> = fn(&[T]) -> T;
+
+/// Wall clock of one epoch phase. It runs only while tracing, so a
+/// disabled epoch pays one relaxed load per phase.
+struct PhaseTimer(Option<Instant>);
+
+impl PhaseTimer {
+    fn start() -> PhaseTimer {
+        PhaseTimer(bcag_trace::enabled().then(Instant::now))
+    }
+
+    /// Nanoseconds since `start`; 0 when tracing was off.
+    fn ns(&self) -> u64 {
+        self.0.map_or(0, |t0| t0.elapsed().as_nanos() as u64)
+    }
+
+    /// Records the time since `start` as one sample of the histogram
+    /// `name` and returns it; records nothing when tracing was off.
+    fn record(&self, name: &'static str) -> u64 {
+        let ns = self.ns();
+        if self.0.is_some() {
+            bcag_trace::record(name, ns);
+        }
+        ns
+    }
+}
 
 /// Where inbound payloads land: the per-operand staging snapshots of an
 /// expression run, or — in a copy run, which has one operand and no
@@ -665,35 +615,45 @@ fn targets<'a, T>(
 /// Runs one blocking receive, charging its wait to `wait_ns` and to the
 /// `recv_wait_ns` histogram (one sample per received block).
 fn timed_recv<R>(wait_ns: &mut u64, recv: impl FnOnce() -> R) -> R {
-    let t0 = bcag_trace::enabled().then(Instant::now);
+    let t = PhaseTimer::start();
     let got = recv();
-    if let Some(t0) = t0 {
-        let ns = t0.elapsed().as_nanos() as u64;
-        *wait_ns += ns;
-        bcag_trace::record("recv_wait_ns", ns);
-    }
+    *wait_ns += t.record("recv_wait_ns");
     got
 }
 
-/// Applies same-node transfer runs from `src` into `dst`.
-fn run_moves<T>(dst: &mut [T], src: &[T], moves: &[MoveStep<T>]) {
+/// Move walker: applies same-node transfer runs from `src` into `dst`,
+/// with both gaps folded for the specialized class pairs.
+fn run_moves<T: PackValue>(dst: &mut [T], src: &[T], moves: &[MoveStep]) {
     for mv in moves {
-        (mv.kernel)(dst, src, mv.dst, mv.dgap, mv.src, mv.sgap, mv.len);
+        with_gap!(mv.sclass, mv.sgap, |sg| with_gap!(
+            mv.dclass,
+            mv.dgap,
+            |dg| {
+                if sg == 1 && dg == 1 {
+                    dst[mv.dst..mv.dst + mv.len].clone_from_slice(&src[mv.src..mv.src + mv.len]);
+                } else {
+                    for j in 0..mv.len {
+                        dst[mv.dst + j * dg] = src[mv.src + j * sg].clone();
+                    }
+                }
+            }
+        ))
     }
 }
 
 /// Stage phase of an expression run: one snapshot of `image` per
-/// operand, with that operand's same-node moves landed in it.
+/// operand, with that operand's same-node moves landed in it. Each
+/// snapshot takes the arena buffer that best fits the image.
 fn snapshot<T: PackValue>(
     image: &[T],
     ops: &[&[T]],
-    moves: &[Vec<MoveStep<T>>],
+    moves: &[Vec<MoveStep>],
     arena: &mut BufferArena,
 ) -> Vec<Vec<T>> {
     ops.iter()
         .zip(moves)
         .map(|(b, moves)| {
-            let mut st: Vec<T> = arena.take();
+            let mut st: Vec<T> = arena.take_fit(image.len());
             st.extend_from_slice(image);
             run_moves(&mut st, b, moves);
             st
@@ -701,29 +661,74 @@ fn snapshot<T: PackValue>(
         .collect()
 }
 
-/// Scatter phase: lands one inbound block's payload in `targets[op]`.
-fn scatter<T>(steps: &[ScatterStep<T>], vals: &[T], targets: &mut [Vec<T>]) {
+/// Scatter walker: lands one inbound block's payload in `targets[op]`.
+fn scatter<T: PackValue>(steps: &[ScatterStep], vals: &[T], targets: &mut [Vec<T>]) {
     for sc in steps {
-        (sc.kernel)(
+        let run = &vals[sc.off..sc.off + sc.len];
+        with_gap!(sc.class, sc.gap, |g| T::write_run(
             &mut targets[sc.op],
             sc.addr,
-            sc.gap,
-            &vals[sc.off..sc.off + sc.len],
-        );
+            g,
+            run
+        ));
     }
 }
 
 /// Elements the sender's matching block carries.
-fn block_len<T>(steps: &[ScatterStep<T>]) -> usize {
+fn block_len(steps: &[ScatterStep]) -> usize {
     steps.last().map_or(0, |s| s.off + s.len)
 }
 
-/// Apply phase: the owner-computes loop over kernel-bound LHS segments,
-/// reading all stagings in operand order.
-fn apply_steps<T>(local: &mut [T], stagings: &[Vec<T>], steps: &[ApplyStep<T>], f: &Apply<'_, T>) {
-    let mut args: Vec<T> = Vec::with_capacity(stagings.len());
+/// Apply phase: the owner-computes loop over the LHS segments, calling
+/// `f` inline on the staged operand values in operand order — a
+/// fixed-size argument array for up to three operands, one reused `Vec`
+/// beyond that.
+fn apply_steps<T, F>(local: &mut [T], stagings: &[Vec<T>], steps: &[ApplyStep], f: &F)
+where
+    T: PackValue,
+    F: Fn(&[T]) -> T + ?Sized,
+{
+    match stagings {
+        [] => apply_fixed(local, [], steps, f),
+        [a] => apply_fixed(local, [&a[..]], steps, f),
+        [a, b] => apply_fixed(local, [&a[..], &b[..]], steps, f),
+        [a, b, c] => apply_fixed(local, [&a[..], &b[..], &c[..]], steps, f),
+        _ => {
+            let mut args: Vec<T> = Vec::with_capacity(stagings.len());
+            for step in steps {
+                with_gap!(step.class, step.gap, |g| {
+                    for j in 0..step.len {
+                        let at = step.addr + j * g;
+                        args.clear();
+                        args.extend(stagings.iter().map(|st| st[at].clone()));
+                        local[at] = f(&args);
+                    }
+                })
+            }
+        }
+    }
+}
+
+/// Apply walker for `N ≤ 3` operands: per segment, one class match and
+/// one slice of the LHS image and of each staging, then a loop at the
+/// class's literal gap that passes `f` an `N`-element array.
+fn apply_fixed<T, F, const N: usize>(
+    local: &mut [T],
+    stagings: [&[T]; N],
+    steps: &[ApplyStep],
+    f: &F,
+) where
+    T: PackValue,
+    F: Fn(&[T]) -> T + ?Sized,
+{
     for step in steps {
-        (step.kernel)(local, stagings, &mut args, f, step.addr, step.gap, step.len);
+        with_gap!(step.class, step.gap, |g| {
+            let seg = step.addr..step.addr + (step.len - 1) * g + 1;
+            let ins = stagings.map(|st| &st[seg.clone()]);
+            for (j, out) in local[seg].iter_mut().step_by(g).enumerate() {
+                *out = f(&ins.map(|st| st[j * g].clone()));
+            }
+        })
     }
 }
 
@@ -753,18 +758,20 @@ fn decode_block<T: PackValue>(bytes: &[u8], vals: &mut Vec<T>) -> Result<usize> 
     Ok(u32::from_le_bytes(tag) as usize)
 }
 
-impl<T: PackValue> SendBlock<T> {
-    /// Pack phase: gathers this block's payload from the sending node's
-    /// operand images.
-    fn gather(&self, ops: &[&[T]], out: &mut Vec<T>) {
+impl SendBlock {
+    /// Gather walker (the pack phase): gathers this block's payload from
+    /// the sending node's operand images.
+    fn gather<T: PackValue>(&self, ops: &[&[T]], out: &mut Vec<T>) {
         out.reserve(self.elements);
         for g in &self.gathers {
-            (g.kernel)(out, ops[g.op], g.addr, g.gap, g.len);
+            with_gap!(g.class, g.gap, |gap| T::extend_run(
+                out, ops[g.op], g.addr, gap, g.len
+            ));
         }
     }
 }
 
-impl<T: PackValue> SendPlan<T> {
+impl SendPlan {
     /// Charges the peer's logical messages at the canonical run-encoded
     /// size (span headers included even though fused blocks carry no
     /// spans), once per peer, so counts and totals are the schedules'
@@ -784,7 +791,7 @@ impl<T: PackValue> SendPlan<T> {
     }
 }
 
-impl<T: PackValue> RecvPlan<T> {
+impl RecvPlan {
     /// Receive-side twin of [`SendPlan::charge`].
     fn charge(&self) {
         for &rx in &self.charges {
@@ -793,10 +800,10 @@ impl<T: PackValue> RecvPlan<T> {
     }
 }
 
-impl<T: PackValue> NodeProgram<T> {
+impl NodeProgram {
     /// Emits this node's folded movement counters: one emission per
     /// epoch instead of one per (operand, destination), same totals.
-    fn count_row(&self) {
+    fn count_row<T>(&self) {
         bcag_trace::count("elements_moved", self.moved);
         bcag_trace::count("bytes_packed", self.moved * std::mem::size_of::<T>() as u64);
         if self.msgs > 0 {
@@ -809,7 +816,7 @@ impl<T: PackValue> NodeProgram<T> {
     /// Stage phase: per-operand snapshots of the pre-statement LHS image
     /// for an expression run; for a copy run, same-node moves straight
     /// into the image (and no snapshots).
-    fn stage(
+    fn stage<T: PackValue>(
         &self,
         local_a: &mut [T],
         ops: &[&[T]],
@@ -825,31 +832,48 @@ impl<T: PackValue> NodeProgram<T> {
 
     /// One node's pool epoch: stage, pack/send, drain/scatter, apply —
     /// or, for a blocked communication-free expression, the same phases
-    /// one L2-sized address range at a time.
-    fn run_epoch(
+    /// one L2-sized address range at a time, recording the summed stage
+    /// and apply times and empty send and drain phases, so every epoch
+    /// samples the same phases whether or not it ran blocked.
+    fn run_epoch<T, F>(
         &self,
         me: usize,
         ctx: &mut NodeCtx,
         local_a: &mut Vec<T>,
         ops: &[&[T]],
-        f: Option<&Apply<'_, T>>,
-    ) {
-        self.count_row();
+        f: Option<&F>,
+    ) where
+        T: PackValue,
+        F: Fn(&[T]) -> T + Sync + ?Sized,
+    {
+        self.count_row::<T>();
         if let (Some(f), false) = (f, self.local_blocks.is_empty()) {
             bcag_trace::count("recv_wait_ns", 0);
+            let (mut stage_ns, mut apply_ns) = (0u64, 0u64);
             for blk in &self.local_blocks {
+                let t = PhaseTimer::start();
                 let stagings = snapshot(&local_a[blk.lo..blk.hi], ops, &blk.moves, ctx.arena());
+                stage_ns += t.ns();
+                let t = PhaseTimer::start();
                 apply_steps(&mut local_a[blk.lo..blk.hi], &stagings, &blk.apply, f);
+                apply_ns += t.ns();
                 stagings.into_iter().for_each(|st| ctx.put_buf(st));
             }
+            bcag_trace::record("fuse_stage_ns", stage_ns);
+            bcag_trace::record("fuse_send_ns", 0);
+            bcag_trace::record("fuse_drain_ns", 0);
+            bcag_trace::record("fuse_apply_ns", apply_ns);
             return;
         }
         let copy = f.is_none();
         let use_wire = ctx.serializes() && T::WIRE_BYTES.is_some();
+        let t = PhaseTimer::start();
         let mut stagings = self.stage(local_a, ops, copy, ctx.arena());
+        t.record("fuse_stage_ns");
+        let t = PhaseTimer::start();
         for send in &self.sends {
             for (bi, blk) in send.blocks.iter().enumerate() {
-                let mut vals: Vec<T> = ctx.take_buf();
+                let mut vals: Vec<T> = ctx.arena().take_fit(blk.elements);
                 blk.gather(ops, &mut vals);
                 if bi == 0 {
                     send.charge();
@@ -865,10 +889,12 @@ impl<T: PackValue> NodeProgram<T> {
                 }
             }
         }
+        t.record("fuse_send_ns");
         // Drain phase: a counted inbox loop routed by source, since
         // inbound order across sources is nondeterministic. Blocks from
         // one source arrive in send order, so a per-source cursor
         // selects each block's scatter plan.
+        let t = PhaseTimer::start();
         let mut wait_ns = 0u64;
         let mut next_blk = vec![0usize; self.recvs.len()];
         let total_blocks: usize = self.recvs.iter().map(|r| r.blocks.len()).sum();
@@ -904,9 +930,12 @@ impl<T: PackValue> NodeProgram<T> {
             );
             ctx.put_buf(vals);
         }
+        t.record("fuse_drain_ns");
         bcag_trace::count("recv_wait_ns", wait_ns);
         if let Some(f) = f {
+            let t = PhaseTimer::start();
             apply_steps(local_a, &stagings, &self.apply, f);
+            t.record("fuse_apply_ns");
         }
         stagings.into_iter().for_each(|st| ctx.put_buf(st));
     }
@@ -916,15 +945,15 @@ impl<T: PackValue> NodeProgram<T> {
 /// message blocks. `cur` tracks the open block's fill and persists
 /// across runs and operands, so block boundaries depend only on the
 /// compiled run sequence — which sender and receiver share.
-fn push_send_run<T: PackValue>(
-    plan: &mut SendPlan<T>,
+fn push_send_run(
+    plan: &mut SendPlan,
     cur: &mut usize,
     cap: usize,
     op: usize,
     mut addr: usize,
     gap: usize,
+    class: ShapeClass,
     mut len: usize,
-    kernel: GatherFn<T>,
 ) {
     while len > 0 {
         if plan.blocks.is_empty() || *cur == cap {
@@ -940,8 +969,8 @@ fn push_send_run<T: PackValue>(
             op,
             addr,
             gap,
+            class,
             len: take,
-            kernel,
         });
         blk.elements += take;
         *cur += take;
@@ -953,15 +982,15 @@ fn push_send_run<T: PackValue>(
 /// The receiver-side twin of [`push_send_run`]: same cap, same run
 /// sequence, therefore the same split points — each block's scatter
 /// offsets restart at zero because each block is its own payload.
-fn push_recv_run<T: PackValue>(
-    plan: &mut RecvPlan<T>,
+fn push_recv_run(
+    plan: &mut RecvPlan,
     cur: &mut usize,
     cap: usize,
     op: usize,
     mut addr: usize,
     gap: usize,
+    class: ShapeClass,
     mut len: usize,
-    kernel: ScatterFn<T>,
 ) {
     while len > 0 {
         if plan.blocks.is_empty() || *cur == cap {
@@ -976,9 +1005,9 @@ fn push_recv_run<T: PackValue>(
                 op,
                 addr,
                 gap,
+                class,
                 len: take,
                 off: *cur,
-                kernel,
             });
         *cur += take;
         addr += gap * take;
@@ -1010,7 +1039,7 @@ fn clip_walk(base: usize, gap: usize, len: usize, lo: usize, hi: usize) -> Optio
 /// partitions the touched local address space into ≤`block`-element
 /// ranges and clips every same-node move (by destination) and apply
 /// segment to its range, rebasing staging-side addresses by `-lo`.
-fn local_blocks_for<T: PackValue>(prog: &NodeProgram<T>, block: usize) -> Vec<LocalBlock<T>> {
+fn local_blocks_for(prog: &NodeProgram, block: usize) -> Vec<LocalBlock> {
     let mut extent = 0usize;
     for step in &prog.apply {
         extent = extent.max(step.addr + (step.len - 1) * step.gap + 1);
@@ -1034,11 +1063,9 @@ fn local_blocks_for<T: PackValue>(prog: &NodeProgram<T>, block: usize) -> Vec<Lo
                     .filter_map(|mv| {
                         clip_walk(mv.dst, mv.dgap, mv.len, lo, hi).map(|(j0, len)| MoveStep {
                             dst: mv.dst + j0 * mv.dgap - lo,
-                            dgap: mv.dgap,
                             src: mv.src + j0 * mv.sgap,
-                            sgap: mv.sgap,
                             len,
-                            kernel: mv.kernel,
+                            ..*mv
                         })
                     })
                     .collect()
@@ -1050,9 +1077,8 @@ fn local_blocks_for<T: PackValue>(prog: &NodeProgram<T>, block: usize) -> Vec<Lo
             .filter_map(|step| {
                 clip_walk(step.addr, step.gap, step.len, lo, hi).map(|(j0, len)| ApplyStep {
                     addr: step.addr + j0 * step.gap - lo,
-                    gap: step.gap,
                     len,
-                    kernel: step.kernel,
+                    ..*step
                 })
             })
             .collect();
@@ -1101,14 +1127,13 @@ pub fn compile<T: PackValue>(
         )?);
     }
     let pu = p as usize;
-    let eb = std::mem::size_of::<T>();
     // Message payload cap in elements; shared by both sides of every
     // pair, so split points agree.
     let cap = if block == 0 { usize::MAX } else { block };
     let mut blocked = false;
     let mut nodes = Vec::with_capacity(pu);
     for me in 0..pu {
-        let mut prog: NodeProgram<T> = NodeProgram {
+        let mut prog = NodeProgram {
             self_moves: Vec::with_capacity(ops.len()),
             sends: Vec::new(),
             recvs: Vec::new(),
@@ -1125,7 +1150,7 @@ pub fn compile<T: PackValue>(
         // unpacked — in operand order, then compiled run order, so
         // sender and receiver derive the same payload layout
         // independently.
-        let mut send_acc: Vec<SendPlan<T>> = (0..pu)
+        let mut send_acc: Vec<SendPlan> = (0..pu)
             .map(|dst| SendPlan {
                 dst,
                 charges: Vec::new(),
@@ -1133,7 +1158,7 @@ pub fn compile<T: PackValue>(
             })
             .collect();
         let mut send_cur = vec![0usize; pu];
-        let mut recv_acc: Vec<RecvPlan<T>> = (0..pu)
+        let mut recv_acc: Vec<RecvPlan> = (0..pu)
             .map(|src| RecvPlan {
                 src,
                 charges: Vec::new(),
@@ -1180,13 +1205,11 @@ pub fn compile<T: PackValue>(
                         op_moves.push(MoveStep {
                             dst: r.dst_local as usize,
                             dgap: r.dgap as usize,
+                            dclass: class_of::<T>(r.dgap),
                             src: r.src_local as usize,
                             sgap: r.sgap as usize,
+                            sclass: class_of::<T>(r.sgap),
                             len: r.len as usize,
-                            kernel: move_kernel::<T>(
-                                ShapeClass::of_gap_for(r.sgap, eb),
-                                ShapeClass::of_gap_for(r.dgap, eb),
-                            ),
                         });
                     }
                     continue;
@@ -1207,8 +1230,8 @@ pub fn compile<T: PackValue>(
                         op,
                         r.src_local as usize,
                         r.sgap as usize,
+                        class_of::<T>(r.sgap),
                         r.len as usize,
-                        gather_kernel::<T>(ShapeClass::of_gap_for(r.sgap, eb)),
                     );
                 }
             }
@@ -1230,8 +1253,8 @@ pub fn compile<T: PackValue>(
                         op,
                         r.dst_local as usize,
                         r.dgap as usize,
+                        class_of::<T>(r.dgap),
                         r.len as usize,
-                        scatter_kernel::<T>(ShapeClass::of_gap_for(r.dgap, eb)),
                     );
                 }
             }
@@ -1249,8 +1272,8 @@ pub fn compile<T: PackValue>(
                 prog.apply.push(ApplyStep {
                     addr: seg.addr as usize,
                     gap: seg.gap as usize,
+                    class: class_of::<T>(seg.gap),
                     len: seg.len as usize,
-                    kernel: apply_kernel::<T>(ShapeClass::of_gap_for(seg.gap, eb)),
                 });
             }
         }
@@ -1260,7 +1283,12 @@ pub fn compile<T: PackValue>(
         blocked |= !prog.local_blocks.is_empty() || prog.sends.iter().any(|s| s.blocks.len() > 1);
         nodes.push(prog);
     }
-    Ok(FusedStatement { p, nodes, blocked })
+    Ok(FusedStatement {
+        p,
+        nodes,
+        blocked,
+        elem: PhantomData,
+    })
 }
 
 /// [`compile`] through the sharded plan cache: the program is built once
@@ -1312,23 +1340,39 @@ pub fn assign_copy_on<T: PackValue>(
     launch: LaunchMode,
     kind: TransportKind,
 ) -> Result<()> {
-    run(a, sec_a, &[(b, *sec_b)], None, launch, kind)
+    run(a, sec_a, &[(b, *sec_b)], None::<&NoBody<T>>, launch, kind)
+}
+
+/// Whether every element `sec` touches is an index of an array of
+/// `len` elements.
+fn fits(sec: &RegularSection, len: i64) -> bool {
+    let n = sec.normalized();
+    n.count == 0 || (n.lo >= 0 && n.hi < len)
 }
 
 /// Validates a statement, fetches its cached program and runs it: the
 /// replicated run inside a multi-process session, otherwise the pool
 /// epoch — an expression when `f` is given, a copy when it is not.
-fn run<T: PackValue>(
+fn run<T, F>(
     a: &mut DistArray<T>,
     sec_a: &RegularSection,
     operands: &[(&DistArray<T>, RegularSection)],
-    f: Option<&Apply<'_, T>>,
+    f: Option<&F>,
     launch: LaunchMode,
     kind: TransportKind,
-) -> Result<()> {
+) -> Result<()>
+where
+    T: PackValue,
+    F: Fn(&[T]) -> T + Sync + ?Sized,
+{
     if sec_a.s <= 0 {
         return Err(BcagError::Precondition(
             "statements require an ascending LHS section; normalize first",
+        ));
+    }
+    if !fits(sec_a, a.len()) {
+        return Err(BcagError::Precondition(
+            "the LHS section reaches outside its array",
         ));
     }
     for (b, sec_b) in operands {
@@ -1337,6 +1381,11 @@ fn run<T: PackValue>(
         }
         if sec_b.count() != sec_a.count() {
             return Err(BcagError::Precondition("operand sections must conform"));
+        }
+        if !fits(sec_b, b.len()) {
+            return Err(BcagError::Precondition(
+                "an operand section reaches outside its array",
+            ));
         }
     }
     let ops: Vec<(i64, RegularSection)> = operands.iter().map(|(b, s)| (b.k(), *s)).collect();
@@ -1361,39 +1410,114 @@ mod tests {
     use super::*;
     use crate::transport::proc::{read_frame, session_reading as session_for, Frame, KIND_DATA};
 
+    /// The elementwise body as the tests pass it: a trait object, so one
+    /// variable can hold an expression body or none (a copy).
+    type Apply<'f, T> = dyn Fn(&[T]) -> T + Sync + 'f;
+
     #[test]
-    fn kernels_match_their_generic_forms() {
+    fn walkers_match_their_generic_forms() {
         let src: Vec<i64> = (0..64).collect();
         for gap in [1usize, 2, 3, 4, 7] {
-            let kernel = gather_kernel::<i64>(ShapeClass::of_gap(gap as i64));
+            let class = class_of::<i64>(gap as i64);
+            let blk = SendBlock {
+                elements: 5,
+                gathers: vec![GatherStep {
+                    op: 1,
+                    addr: 3,
+                    gap,
+                    class,
+                    len: 5,
+                }],
+            };
             let mut got = Vec::new();
-            kernel(&mut got, &src, 3, gap, 5);
-            let mut want = Vec::new();
-            i64::extend_run(&mut want, &src, 3, gap, 5);
+            blk.gather(&[&[][..], &src[..]], &mut got);
+            let want: Vec<i64> = (0..5).map(|j| src[3 + j * gap]).collect();
             assert_eq!(got, want, "gather gap={gap}");
 
-            let scatter = scatter_kernel::<i64>(ShapeClass::of_gap(gap as i64));
-            let mut got_dst = vec![0i64; 64];
-            scatter(&mut got_dst, 2, gap, &want);
+            let steps = [ScatterStep {
+                op: 1,
+                addr: 2,
+                gap,
+                class,
+                len: 4,
+                off: 1,
+            }];
+            let mut targets = vec![vec![0i64; 64]; 2];
+            scatter(&steps, &want, &mut targets);
             let mut want_dst = vec![0i64; 64];
-            i64::write_run(&mut want_dst, 2, gap, &want);
-            assert_eq!(got_dst, want_dst, "scatter gap={gap}");
+            for (j, v) in want[1..].iter().enumerate() {
+                want_dst[2 + j * gap] = *v;
+            }
+            assert_eq!(targets[1], want_dst, "scatter gap={gap}");
+            assert!(
+                targets[0].iter().all(|&v| v == 0),
+                "other operands untouched"
+            );
         }
     }
 
     #[test]
-    fn move_kernels_cover_the_gap_grid() {
+    fn move_walker_covers_the_class_grid() {
         let src: Vec<i64> = (100..200).collect();
         for sgap in [1i64, 2, 3, 4, 6] {
             for dgap in [1i64, 2, 3, 4, 9] {
-                let kernel = move_kernel::<i64>(ShapeClass::of_gap(sgap), ShapeClass::of_gap(dgap));
+                let mv = MoveStep {
+                    dst: 1,
+                    dgap: dgap as usize,
+                    dclass: class_of::<i64>(dgap),
+                    src: 2,
+                    sgap: sgap as usize,
+                    sclass: class_of::<i64>(sgap),
+                    len: 7,
+                };
                 let mut got = vec![0i64; 100];
-                kernel(&mut got, &src, 1, dgap as usize, 2, sgap as usize, 7);
+                run_moves(&mut got, &src, &[mv]);
                 let mut want = vec![0i64; 100];
                 for j in 0..7usize {
                     want[1 + j * dgap as usize] = src[2 + j * sgap as usize];
                 }
                 assert_eq!(got, want, "sgap={sgap} dgap={dgap}");
+            }
+        }
+    }
+
+    /// Every arity the apply walker specializes (fixed arrays for 0–3
+    /// operands, the `Vec` fallback beyond) over every class, with an
+    /// order-sensitive body: swapped or dropped operands would change
+    /// the image.
+    #[test]
+    fn apply_walker_passes_operands_in_order() {
+        let body = |v: &[i64]| v.iter().fold(7i64, |acc, x| acc * 31 + x);
+        for nops in 0..=5i64 {
+            for gap in [1usize, 2, 3, 4, 5, 9] {
+                let stagings: Vec<Vec<i64>> = (0..nops)
+                    .map(|j| (0..64).map(|i| 1000 * (j + 1) + i).collect())
+                    .collect();
+                let steps = [
+                    ApplyStep {
+                        addr: 1,
+                        gap,
+                        class: class_of::<i64>(gap as i64),
+                        len: 6,
+                    },
+                    ApplyStep {
+                        addr: 60,
+                        gap: 1,
+                        class: ShapeClass::Memcpy,
+                        len: 4,
+                    },
+                ];
+                let mut got = vec![-1i64; 64];
+                apply_steps(&mut got, &stagings, &steps, &body);
+                let mut want = vec![-1i64; 64];
+                for step in &steps {
+                    for j in 0..step.len {
+                        let at = step.addr + j * step.gap;
+                        let args: Vec<i64> = stagings.iter().map(|st| st[at]).collect();
+                        want[at] = body(&args);
+                    }
+                }
+                assert_eq!(got, want, "nops={nops} gap={gap}");
             }
         }
     }
@@ -1748,7 +1872,8 @@ mod tests {
         }
         let (session, _) = session_for(0, 2, &good);
         let mut a = DistArray::new(2, 5, n, 0i64).unwrap();
-        prog.replicated(&mut a, &[&b], None, &session).unwrap();
+        prog.replicated(&mut a, &[&b], None::<&NoBody<i64>>, &session)
+            .unwrap();
         assert_eq!(a.to_global(), bg);
 
         let words: Vec<String> = (0..n).map(|i| format!("w{i}")).collect();
@@ -1757,7 +1882,7 @@ mod tests {
         let (session, _) = session_for(0, 2, &[]);
         let mut wa = DistArray::new(2, 5, n, String::new()).unwrap();
         assert!(matches!(
-            sprog.replicated(&mut wa, &[&wb], None, &session),
+            sprog.replicated(&mut wa, &[&wb], None::<&NoBody<String>>, &session),
             Err(BcagError::Precondition(_))
         ));
     }

@@ -63,7 +63,8 @@
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the worker pool's job channel needs two
 // audited `#[allow(unsafe_code)]` sites in [`pool`] (lifetime erasure of
-// the dispatched body, guarded by the epoch barrier), and the
+// the dispatched body, guarded by the epoch barrier), its worker pinning
+// two C-library affinity calls, and the
 // shared-memory fabric's SPSC ring slots in [`transport::ring`] need raw
 // shared mutability under the single-producer/single-consumer contract.
 // Everything else in the crate remains safe code.

@@ -16,7 +16,9 @@
 //!   resident for the process lifetime. The thread name doubles as the
 //!   trace-lane label, so counters recorded on a worker aggregate on one
 //!   persistent `node-<m>` lane exactly as scoped threads' per-launch
-//!   lanes would sum.
+//!   lanes would sum. When the machine has exactly one node per CPU the
+//!   process may use, worker `m` is pinned to the `m`-th of those CPUs,
+//!   so no epoch runs two nodes on one CPU while another idles.
 //! - **Fabric** — each node owns a [`crate::transport::Endpoint`] on the
 //!   pool's fabric ([`TransportKind::Mpsc`] inboxes or the lock-free
 //!   SPSC rings of [`TransportKind::Shm`]/[`TransportKind::Proc`]); node
@@ -118,23 +120,65 @@ pub fn set_default_launch(mode: LaunchMode) {
 /// than hoarded.
 const ARENA_SHELF_CAP: usize = 64;
 
+/// One idle buffer on an arena shelf, with its capacity in elements
+/// recorded so fitting never downcasts.
+struct Shelved {
+    cap: usize,
+    buf: Envelope,
+}
+
 /// Per-node recycling store for pack/unpack buffers, keyed by payload
 /// type. `take` pops an idle buffer (counting a `pool_buffer_reuses`
-/// trace event) or allocates a fresh one; `put` returns a buffer to its
+/// trace event) or allocates a fresh one; `take_fit` picks the shelved
+/// buffer that best fits a known size; `put` returns a buffer to its
 /// shelf. Buffers keep their capacity across statements, so steady-state
 /// loops stop allocating once every shelf reaches its high-water mark.
 #[derive(Default)]
 pub struct BufferArena {
-    shelves: HashMap<std::any::TypeId, Vec<Envelope>>,
+    shelves: HashMap<std::any::TypeId, Vec<Shelved>>,
+    /// Bytes of capacity currently shelved, over all payload types.
+    bytes: usize,
 }
 
 impl BufferArena {
     /// Takes a cleared `Vec<T>` from the shelf, or allocates one.
     pub fn take<T: Send + 'static>(&mut self) -> Vec<T> {
-        let shelf = self.shelves.entry(std::any::TypeId::of::<Vec<T>>());
-        if let std::collections::hash_map::Entry::Occupied(mut e) = shelf {
-            if let Some(env) = e.get_mut().pop() {
-                let mut buf = *env.downcast::<Vec<T>>().expect("shelf keyed by TypeId");
+        self.take_where::<T>(|shelf| shelf.len().checked_sub(1))
+    }
+
+    /// Takes the best-fitting shelved `Vec<T>` for `want` elements: the
+    /// smallest whose capacity covers `want`, else the largest (which
+    /// then grows least), else a fresh allocation; among equal
+    /// capacities, the most recently shelved, which is likeliest still
+    /// in cache. Staging snapshots, send payloads and received payloads
+    /// share a shelf and differ in size by orders of magnitude; fitting
+    /// keeps a small request from regrowing a small buffer while a large
+    /// one idles, and a large request from stranding the small ones.
+    pub(crate) fn take_fit<T: Send + 'static>(&mut self, want: usize) -> Vec<T> {
+        self.take_where::<T>(|shelf| {
+            let covering = shelf
+                .iter()
+                .enumerate()
+                .rev()
+                .filter(|(_, s)| s.cap >= want)
+                .min_by_key(|(_, s)| s.cap);
+            covering
+                .or_else(|| shelf.iter().enumerate().max_by_key(|(_, s)| s.cap))
+                .map(|(i, _)| i)
+        })
+    }
+
+    /// Removes the shelf entry `pick` selects, cleared, or allocates. The
+    /// shelf stays in the order buffers were put, newest last.
+    fn take_where<T: Send + 'static>(
+        &mut self,
+        pick: impl FnOnce(&[Shelved]) -> Option<usize>,
+    ) -> Vec<T> {
+        if let Some(shelf) = self.shelves.get_mut(&std::any::TypeId::of::<Vec<T>>()) {
+            if let Some(i) = pick(shelf) {
+                let s = shelf.remove(i);
+                self.bytes -= s.cap * std::mem::size_of::<T>();
+                let mut buf = *s.buf.downcast::<Vec<T>>().expect("shelf keyed by TypeId");
                 buf.clear();
                 bcag_trace::count("pool_buffer_reuses", 1);
                 return buf;
@@ -154,8 +198,19 @@ impl BufferArena {
             .entry(std::any::TypeId::of::<Vec<T>>())
             .or_default();
         if shelf.len() < ARENA_SHELF_CAP {
-            shelf.push(Box::new(buf));
+            let cap = buf.capacity();
+            self.bytes += cap * std::mem::size_of::<T>();
+            shelf.push(Shelved {
+                cap,
+                buf: Box::new(buf),
+            });
         }
+    }
+
+    /// Bytes of buffer capacity idling on the shelves — the
+    /// `pool_arena_bytes` gauge.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
     }
 }
 
@@ -371,22 +426,96 @@ impl Drop for EpochBarrier {
     }
 }
 
+/// The CPU each worker of a `p`-node pool is pinned to: with exactly
+/// one node per CPU this process may use (and more than one node), node
+/// `m` gets the `m`-th such CPU; any other size floats. Left to the OS,
+/// the dispatcher wakes the workers back to back while it still holds a
+/// CPU, and the scheduler often queued the second worker behind the
+/// first while the other CPU idled: on a 2-vCPU host both workers of a
+/// `p = 2` epoch started on one CPU in 26–57% of epochs, a share that
+/// changed from run to run, and the epoch's latency with it. Pinning
+/// only a subset of the CPUs, or several nodes per CPU, would instead
+/// pile load where the OS cannot move it.
+fn worker_cpus(p: usize) -> Option<Vec<usize>> {
+    let cpus = affinity::allowed();
+    (p > 1 && cpus.len() == p).then_some(cpus)
+}
+
+/// Thread-to-CPU affinity through the C library (best effort: where it
+/// is unavailable or refused, workers float).
+#[cfg(target_os = "linux")]
+mod affinity {
+    /// A `cpu_set_t`: one bit per CPU, 1024 CPUs.
+    type CpuSet = [u64; 16];
+
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut CpuSet) -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const CpuSet) -> i32;
+    }
+
+    /// The CPUs the calling thread may run on, ascending; empty when the
+    /// mask cannot be read.
+    pub(super) fn allowed() -> Vec<usize> {
+        let mut set: CpuSet = [0; 16];
+        // SAFETY: `set` is a writable mask of exactly the size passed;
+        // pid 0 names the calling thread.
+        #[allow(unsafe_code)]
+        let rc = unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), &mut set) };
+        if rc != 0 {
+            return Vec::new();
+        }
+        (0..set.len() * 64)
+            .filter(|&c| (set[c / 64] >> (c % 64)) & 1 == 1)
+            .collect()
+    }
+
+    /// Restricts the calling thread to `cpu`; returns whether it took.
+    pub(super) fn pin(cpu: usize) -> bool {
+        let mut set: CpuSet = [0; 16];
+        if cpu >= set.len() * 64 {
+            return false;
+        }
+        set[cpu / 64] |= 1 << (cpu % 64);
+        // SAFETY: `set` is a readable mask of exactly the size passed;
+        // pid 0 names the calling thread.
+        #[allow(unsafe_code)]
+        let rc = unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set) };
+        rc == 0
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod affinity {
+    pub(super) fn allowed() -> Vec<usize> {
+        Vec::new()
+    }
+
+    pub(super) fn pin(_cpu: usize) -> bool {
+        false
+    }
+}
+
 impl Pool {
     /// Boots `p` resident workers with a fresh fabric of the given kind.
     fn new(p: usize, kind: TransportKind) -> Pool {
         assert!(p >= 1, "machine needs at least one node");
         let endpoints = transport::connect(kind, p);
+        let cpus = worker_cpus(p);
         let mut workers = Vec::with_capacity(p);
         for (m, link) in endpoints.into_iter().enumerate() {
             let (jtx, jrx) = channel::<Job>();
             workers.push(jtx);
             let mut ctx = NodeCtx::new(m, kind, link);
+            let cpu = cpus.as_ref().map(|cpus| cpus[m]);
             std::thread::Builder::new()
                 // The thread name is the default trace-lane label, so
                 // pooled counters land on `node-<m>` lanes exactly like
                 // scoped ones.
                 .name(format!("node-{m}"))
                 .spawn(move || {
+                    if let Some(cpu) = cpu {
+                        affinity::pin(cpu);
+                    }
                     IN_WORKER.with(|f| f.set(true));
                     while let Ok(job) = jrx.recv() {
                         job(&mut ctx);
@@ -799,6 +928,24 @@ mod tests {
     use super::*;
 
     #[test]
+    fn one_node_per_cpu_pins_every_worker_to_its_own_cpu() {
+        let cpus = affinity::allowed();
+        assert!(!affinity::pin(usize::MAX), "an impossible CPU is refused");
+        assert_eq!(worker_cpus(1), None, "a single node floats");
+        assert_eq!(worker_cpus(cpus.len() + 1), None, "shared CPUs float");
+        if cpus.len() < 2 || cpus.len() > 64 {
+            return;
+        }
+        assert_eq!(worker_cpus(cpus.len()).as_deref(), Some(&cpus[..]));
+        let pool = Pool::new(cpus.len(), TransportKind::Mpsc);
+        let seen: Vec<Mutex<Vec<usize>>> = cpus.iter().map(|_| Mutex::new(Vec::new())).collect();
+        pool.dispatch(&|m, _ctx| *lock_clean(&seen[m]) = affinity::allowed());
+        for (m, &cpu) in cpus.iter().enumerate() {
+            assert_eq!(*lock_clean(&seen[m]), vec![cpu], "node {m}");
+        }
+    }
+
+    #[test]
     fn dispatch_runs_every_node_once() {
         let pool = global(6);
         let hits: Vec<Mutex<u32>> = (0..6).map(|_| Mutex::new(0)).collect();
@@ -863,6 +1010,41 @@ mod tests {
         // Different payload types use different shelves.
         let other: Vec<u8> = arena.take();
         assert_eq!(other.capacity(), 0);
+    }
+
+    #[test]
+    fn arena_takes_the_best_fit() {
+        let mut arena = BufferArena::default();
+        for cap in [4096usize, 16, 256] {
+            arena.put(Vec::<i64>::with_capacity(cap));
+        }
+        let caps = |v: &Vec<i64>| v.capacity();
+        let total = arena.bytes();
+        assert!(total >= (4096 + 16 + 256) * 8, "shelved bytes are counted");
+        // The smallest buffer that covers the request…
+        let mid: Vec<i64> = arena.take_fit(100);
+        assert!((256..4096).contains(&caps(&mid)), "got {}", caps(&mid));
+        assert_eq!(arena.bytes(), total - caps(&mid) * 8);
+        let small: Vec<i64> = arena.take_fit(1);
+        assert!(caps(&small) < 256, "got {}", caps(&small));
+        // …else the largest, which has the least left to grow.
+        arena.put(small);
+        let big: Vec<i64> = arena.take_fit(1 << 20);
+        assert!(caps(&big) >= 4096, "got {}", caps(&big));
+        let last: Vec<i64> = arena.take_fit(1 << 20);
+        assert!(last.capacity() < 256 && last.is_empty());
+        assert_eq!(arena.bytes(), 0);
+        // An empty shelf allocates.
+        let fresh: Vec<i64> = arena.take_fit(8);
+        assert_eq!(fresh.capacity(), 0);
+        // Equal fits go to the most recently shelved buffer.
+        let (older, newer) = (vec![1i64; 64], vec![2i64; 64]);
+        let newer_ptr = newer.as_ptr();
+        arena.put(older);
+        arena.put(newer);
+        arena.put(Vec::<i64>::with_capacity(8));
+        let got: Vec<i64> = arena.take_fit(64);
+        assert_eq!(got.as_ptr(), newer_ptr, "ties take the newest");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub fn eoshift<T: PackValue>(b: &DistArray<T>, shift: i64, boundary: T) -> Resul
     if n == 0 {
         return Ok(b.clone());
     }
-    if shift.abs() >= n {
+    if shift.unsigned_abs() >= n.unsigned_abs() {
         let mut a = b.clone();
         for i in 0..n {
             a.set(i, boundary.clone())?;
@@ -88,7 +88,7 @@ mod tests {
     fn seq_cshift(v: &[i64], shift: i64) -> Vec<i64> {
         let n = v.len() as i64;
         (0..n)
-            .map(|i| v[((i + shift).rem_euclid(n)) as usize])
+            .map(|i| v[((i + shift.rem_euclid(n)).rem_euclid(n)) as usize])
             .collect()
     }
 
@@ -96,7 +96,22 @@ mod tests {
     fn cshift_matches_sequential() {
         let data: Vec<i64> = (0..100).map(|i| i * i).collect();
         let b = DistArray::from_global(4, 8, &data).unwrap();
-        for shift in [-150i64, -7, -1, 0, 1, 5, 8, 32, 99, 100, 137] {
+        for shift in [
+            i64::MIN,
+            -150,
+            -99,
+            -7,
+            -1,
+            0,
+            1,
+            5,
+            8,
+            32,
+            99,
+            100,
+            137,
+            i64::MAX,
+        ] {
             let a = cshift(&b, shift).unwrap();
             assert_eq!(a.to_global(), seq_cshift(&data, shift), "shift={shift}");
         }
@@ -106,12 +121,12 @@ mod tests {
     fn eoshift_matches_sequential() {
         let data: Vec<i64> = (0..60).collect();
         let b = DistArray::from_global(4, 3, &data).unwrap();
-        for shift in [-70i64, -5, -1, 0, 1, 4, 59, 60, 70] {
+        for shift in [i64::MIN, -70, -59, -5, -1, 0, 1, 4, 59, 60, 70, i64::MAX] {
             let a = eoshift(&b, shift, -1).unwrap();
             let n = data.len() as i64;
             let expect: Vec<i64> = (0..n)
                 .map(|i| {
-                    let src = i + shift;
+                    let src = i.saturating_add(shift);
                     if (0..n).contains(&src) {
                         data[src as usize]
                     } else {

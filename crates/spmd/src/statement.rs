@@ -96,6 +96,8 @@ pub fn redistribute<T: PackValue>(arr: &DistArray<T>, new_k: i64) -> Result<Dist
 
 #[cfg(test)]
 mod tests {
+    use bcag_core::error::BcagError;
+
     use super::*;
     use crate::pool::LaunchMode;
     use crate::transport::TransportKind;
@@ -189,6 +191,55 @@ mod tests {
         assert!(assign_array(&mut a, &sec_a, &other, &sec_a).is_err());
     }
 
+    /// Hostile sections on 400-element arrays: an LHS past the end, and
+    /// operands past the end, ascending or descending.
+    fn out_of_range_cases() -> [(RegularSection, RegularSection); 4] {
+        let sec = |l, u, s| RegularSection::new(l, u, s).unwrap();
+        [
+            (sec(0, 1000, 3), sec(0, 1000, 3)),
+            (sec(0, 10, 1), sec(390, 400, 1)),
+            (sec(0, 10, 1), sec(400, 390, -1)),
+            (sec(395, 405, 1), sec(0, 10, 1)),
+        ]
+    }
+
+    #[test]
+    fn assign_expr_rejects_out_of_range_sections() {
+        let bg: Vec<f64> = (0..400).map(f64::from).collect();
+        let b = DistArray::from_global(4, 8, &bg).unwrap();
+        let mut a = DistArray::new(4, 5, 400, -1.0f64).unwrap();
+        for (sec_a, sec_b) in out_of_range_cases() {
+            let err = assign_expr(&mut a, &sec_a, &[(&b, sec_b)], |v| v[0] + 1.0).unwrap_err();
+            assert!(
+                matches!(err, BcagError::Precondition(_)),
+                "{sec_a:?} {sec_b:?}: {err}"
+            );
+        }
+        let fill = RegularSection::new(0, 400, 8).unwrap();
+        let err = assign_expr(&mut a, &fill, &[], |_| 1.0).unwrap_err();
+        assert!(matches!(err, BcagError::Precondition(_)), "{err}");
+        assert!(a.to_global().iter().all(|&x| x == -1.0), "nothing written");
+    }
+
+    #[test]
+    fn assign_array_rejects_out_of_range_sections() {
+        let bg: Vec<i64> = (0..400).collect();
+        let b = DistArray::from_global(4, 8, &bg).unwrap();
+        let mut a = DistArray::new(4, 5, 400, -1i64).unwrap();
+        for (sec_a, sec_b) in out_of_range_cases() {
+            let err = assign_array(&mut a, &sec_a, &b, &sec_b).unwrap_err();
+            assert!(
+                matches!(err, BcagError::Precondition(_)),
+                "{sec_a:?} {sec_b:?}: {err}"
+            );
+        }
+        assert!(a.to_global().iter().all(|&x| x == -1), "nothing written");
+        // The last element is inside: the check is not off by one.
+        let last = RegularSection::new(399, 399, 1).unwrap();
+        assign_array(&mut a, &last, &b, &last).unwrap();
+        assert_eq!(*a.get(399).unwrap(), 399);
+    }
+
     #[test]
     fn copies_match_the_oracle_on_every_transport_and_launch() {
         // A strided same-layout copy (communication-free) and a genuine
@@ -249,12 +300,17 @@ mod tests {
 
     #[test]
     fn redistribute_preserves_contents() {
-        let data: Vec<i64> = (0..240).map(|i| 7 * i + 1).collect();
-        let a = DistArray::from_global(4, 3, &data).unwrap();
-        for new_k in [1i64, 2, 5, 8, 60, 240] {
-            let b = redistribute(&a, new_k).unwrap();
-            assert_eq!(b.k(), new_k);
-            assert_eq!(b.to_global(), data, "new_k={new_k}");
+        // Redistribution copies the whole array, so its sections end on
+        // the last element — the edge of the statements' range check —
+        // for every length down to one.
+        for n in [240i64, 7, 1] {
+            let data: Vec<i64> = (0..n).map(|i| 7 * i + 1).collect();
+            let a = DistArray::from_global(4, 3, &data).unwrap();
+            for new_k in [1i64, 2, 5, 8, 60, 240] {
+                let b = redistribute(&a, new_k).unwrap();
+                assert_eq!(b.k(), new_k);
+                assert_eq!(b.to_global(), data, "n={n} new_k={new_k}");
+            }
         }
     }
 }

@@ -5,6 +5,11 @@
 //! fused statement and compare the full global image bit for bit (`f64`
 //! compares `to_bits`, so `-0.0`/`NaN` drift would fail too) with a
 //! sequential evaluation of the statement over global indices.
+//! Operand counts span 0–4, so both the fixed-size argument arrays of
+//! the monomorphized apply (0–3 operands) and its `Vec` fallback run,
+//! over the element types the benchmarks move (`f64`, `i64`, `u8`,
+//! `[f64; 4]`) and a payload without a wire format (`String`). Every
+//! body is order-sensitive, so swapped or dropped operands fail.
 //! One-operand shapes also run as copies. A panicking statement body
 //! then checks the poison protocol clears a fused epoch and leaves the
 //! pool reusable.
@@ -41,7 +46,7 @@ fn random_case(rng: &mut Rng) -> Case {
     let k_a = rng.random_range(1..=10);
     let count = rng.random_range(1..=48);
     let (mut max_hi, sec_a) = random_section(rng, count);
-    let nops = rng.random_range(0..=3);
+    let nops = rng.random_range(0..=4);
     let mut ops = Vec::with_capacity(nops as usize);
     for _ in 0..nops {
         let k_b = rng.random_range(1..=10);
@@ -179,6 +184,71 @@ fn fused_matches_oracle_i64() {
                     })
                 },
                 |a: &i64, b: &i64| a == b,
+            );
+        },
+    );
+}
+
+#[test]
+fn fused_matches_oracle_u8() {
+    let cfg = Config {
+        cases: 64,
+        ..Config::default()
+    };
+    prop::check_with(
+        &cfg,
+        "fuse-oracle-u8",
+        &prop::from_fn(random_case),
+        |case| {
+            against_oracle(
+                case,
+                |i, j| (i * 7 + 31 * j as i64) as u8,
+                |args: &[u8]| {
+                    args.iter().enumerate().fold(5u8, |acc, (j, v)| {
+                        acc.wrapping_mul(3)
+                            .wrapping_add(v.wrapping_mul(2 * j as u8 + 1))
+                    })
+                },
+                |a: &u8, b: &u8| a == b,
+            );
+        },
+    );
+}
+
+#[test]
+fn fused_matches_oracle_f64x4() {
+    let cfg = Config {
+        cases: 48,
+        ..Config::default()
+    };
+    prop::check_with(
+        &cfg,
+        "fuse-oracle-f64x4",
+        &prop::from_fn(random_case),
+        |case| {
+            against_oracle(
+                case,
+                |i, j| {
+                    let (x, y) = (i as f64, j as f64);
+                    [
+                        x * 0.5,
+                        y - x,
+                        ((i * 13) % 17) as f64 * 0.25 + y,
+                        1.0 / (x + 1.0),
+                    ]
+                },
+                |args: &[[f64; 4]]| {
+                    let mut out = [0.125, -1.0, 2.0, 0.0];
+                    for (j, v) in args.iter().enumerate() {
+                        for (c, o) in out.iter_mut().enumerate() {
+                            *o = *o * 0.5 + v[(c + j) % 4] * (j as f64 + 1.0);
+                        }
+                    }
+                    out
+                },
+                |a: &[f64; 4], b: &[f64; 4]| {
+                    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+                },
             );
         },
     );

@@ -291,3 +291,82 @@ fn blocked_statements_stay_bit_exact() {
 
     tune::set_l2_bytes(orig_l2);
 }
+
+/// Three- and four-operand statements — the widest fixed argument array
+/// of the monomorphized apply and its `Vec` fallback — in both blocking
+/// regimes, communicating (every operand on its own layout) and
+/// communication-free (the blocked local-range path), with an
+/// order-sensitive body. Each must match the oracle bit for bit.
+#[test]
+fn blocked_multi_operand_statements_stay_bit_exact() {
+    let _serial = lock_l2();
+    let orig_l2 = tune::l2_bytes();
+
+    let n = 60_007i64;
+    let sec_a = RegularSection::new(3, 59_999, 2).unwrap(); // 29 999 f64 ≈ 234 KiB ≫ 32 KiB
+    let secs = [
+        RegularSection::new(0, 59_996, 2).unwrap(),
+        RegularSection::new(5, 60_001, 2).unwrap(),
+        sec_a,
+        RegularSection::new(1, 59_997, 2).unwrap(),
+    ];
+    let base: Vec<f64> = (0..n).map(|i| (i % 1013) as f64 * 0.125 - 3.0).collect();
+    let inputs: Vec<Vec<f64>> = (0..4)
+        .map(|j| {
+            (0..n)
+                .map(|i| ((i * (7 + j)) % 211) as f64 * 0.25 - j as f64)
+                .collect()
+        })
+        .collect();
+    let f = |v: &[f64]| {
+        v.iter()
+            .enumerate()
+            .fold(0.5, |acc, (j, x)| acc * 0.75 + (j as f64 + 1.0) * x)
+    };
+    for nops in [3usize, 4] {
+        for (k_a, layouts, communicates) in [(7i64, [5i64, 11, 3, 9], true), (64, [64; 4], false)] {
+            // A communication-free statement reads every operand through
+            // the LHS section on the LHS layout.
+            let op_secs: Vec<RegularSection> = (0..nops)
+                .map(|j| if communicates { secs[j] } else { sec_a })
+                .collect();
+            let mut want = base.clone();
+            for (t, ia) in sec_a.iter().enumerate() {
+                let args: Vec<f64> = (0..nops)
+                    .map(|j| inputs[j][(op_secs[j].l + t as i64 * op_secs[j].s) as usize])
+                    .collect();
+                want[ia as usize] = f(&args);
+            }
+            let arrays: Vec<DistArray<f64>> = (0..nops)
+                .map(|j| DistArray::from_global(3, layouts[j], &inputs[j]).unwrap())
+                .collect();
+            let operands: Vec<(&DistArray<f64>, RegularSection)> =
+                arrays.iter().zip(&op_secs).map(|(a, s)| (a, *s)).collect();
+            for (l2, blocked) in [(1u64 << 30, false), (32 * 1024, true)] {
+                tune::set_l2_bytes(l2);
+                let mut a = DistArray::from_global(3, k_a, &base).unwrap();
+                assign_fused_on(
+                    &mut a,
+                    &sec_a,
+                    &operands,
+                    f,
+                    LaunchMode::Pooled,
+                    TransportKind::Mpsc,
+                )
+                .unwrap();
+                assert_eq!(
+                    fuse::last_blocked(),
+                    Some(blocked),
+                    "nops={nops} k_a={k_a} l2={l2}"
+                );
+                assert_eq!(
+                    bits(&a.to_global()),
+                    bits(&want),
+                    "image diverges from the oracle (nops={nops}, k_a={k_a}, l2={l2})"
+                );
+            }
+        }
+    }
+
+    tune::set_l2_bytes(orig_l2);
+}

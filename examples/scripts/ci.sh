@@ -161,6 +161,11 @@ grep -q '"fused_epochs"' "$cache_out" \
     || { echo "no fused_epochs in summary: $cache_out" >&2; exit 1; }
 grep -q '"recv_wait_ns"' "$cache_out" \
     || { echo "fused trace lost recv_wait_ns: $cache_out" >&2; exit 1; }
+# The epoch is not a black box: each phase has its own histogram.
+for phase in stage send drain apply; do
+    grep -q "\"fuse_${phase}_ns\"" "$cache_out" \
+        || { echo "no fuse_${phase}_ns histogram in summary: $cache_out" >&2; exit 1; }
+done
 
 echo "==> multi-process smoke: bcag spmd --procs 4 on cache_loop.hpf"
 spmd_out="target/ci-spmd.json"
