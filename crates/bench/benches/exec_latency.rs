@@ -1,12 +1,12 @@
-//! Statement launch latency: resident worker pool vs per-call scope.
+//! Statement launch latency on the resident worker pool.
 //!
 //! The cost under the microscope is the *fixed* per-statement overhead —
-//! thread spawn/join, channel fabric construction, message-buffer
-//! allocation — which dominates exactly when statements are small and
-//! numerous (the steady-state inner loop of a data-parallel program).
-//! Each `stmt` measurement times one complete [`assign_expr`] statement
-//! (one fused epoch launch) on a deliberately tiny section, pooled vs
-//! scoped; statements/sec is `1e9 / median_ns`.
+//! pool dispatch, epoch barrier, message-buffer recycling — which
+//! dominates exactly when statements are small and numerous (the
+//! steady-state inner loop of a data-parallel program). Each `stmt`
+//! measurement times one complete [`assign_expr`] statement (one fused
+//! epoch launch) on a deliberately tiny section; statements/sec is
+//! `1e9 / median_ns`.
 //!
 //! The `xfer` group is the guard in the other direction: a large dense
 //! fused copy (mirroring `comm_throughput`'s heaviest case) where
@@ -19,7 +19,7 @@ use bcag_harness::bench::Bench;
 
 use bcag_core::section::RegularSection;
 use bcag_spmd::fuse::assign_copy_on;
-use bcag_spmd::{assign_expr, pool, transport, DistArray, LaunchMode};
+use bcag_spmd::{assign_expr, pool, DistArray, TransportKind};
 
 /// One tiny statement `A(0:c-1) = B(1:c) + 1` across two blockings, so
 /// every call pays a communicating epoch launch.
@@ -31,20 +31,14 @@ fn bench_statements(bench: &mut Bench, p: i64, k: i64) {
     let bg: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let b = DistArray::from_global(p, k + 1, &bg).unwrap();
     let mut group = bench.group(&format!("stmt/p{p}/k{k}"));
-    for launch in [LaunchMode::Pooled, LaunchMode::Scoped] {
-        // `assign_expr` builds its machine from the process default; the
-        // schedule cache and (when pooled) the resident pool mean the
-        // timed region is pure steady-state after the first iteration.
-        pool::set_default_launch(launch);
-        if launch == LaunchMode::Pooled {
-            pool::warm(p);
-        }
-        let mut a = DistArray::new(p, k, n, 0.0f64).unwrap();
-        group.bench(&format!("{}/assign", launch.name()), || {
-            assign_expr(&mut a, &sec_a, &[(&b, sec_b)], |v| v[0] + 1.0).unwrap();
-            black_box(a.local(0).len())
-        });
-    }
+    // The schedule cache and the resident pool mean the timed region is
+    // pure steady-state after the first iteration.
+    pool::warm(p);
+    let mut a = DistArray::new(p, k, n, 0.0f64).unwrap();
+    group.bench("pooled/assign", || {
+        assign_expr(&mut a, &sec_a, &[(&b, sec_b)], |v| v[0] + 1.0).unwrap();
+        black_box(a.local(0).len())
+    });
 }
 
 /// Large-transfer parity: `cyclic(8) = cyclic(3)` dense redistribution of
@@ -58,18 +52,13 @@ fn bench_transfer(bench: &mut Bench, p: i64) {
     let n_b = sec_b.normalized().hi + 1;
     let bg: Vec<i64> = (0..n_b).collect();
     let b = DistArray::from_global(p, k_b, &bg).unwrap();
-    let kind = transport::default_transport();
     let mut group = bench.group(&format!("xfer/p{p}"));
-    for launch in [LaunchMode::Pooled, LaunchMode::Scoped] {
-        if launch == LaunchMode::Pooled {
-            pool::warm(p);
-        }
-        let mut a = DistArray::new(p, k_a, n_a, 0i64).unwrap();
-        group.bench(&format!("{}/i64/dense/n100000", launch.name()), || {
-            assign_copy_on(&mut a, &sec_a, &b, &sec_b, launch, kind).unwrap();
-            black_box(a.local(0).len())
-        });
-    }
+    pool::warm(p);
+    let mut a = DistArray::new(p, k_a, n_a, 0i64).unwrap();
+    group.bench("pooled/i64/dense/n100000", || {
+        assign_copy_on(&mut a, &sec_a, &b, &sec_b, TransportKind::Shm).unwrap();
+        black_box(a.local(0).len())
+    });
 }
 
 fn main() {

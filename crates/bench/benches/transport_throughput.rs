@@ -1,14 +1,14 @@
-//! Transport fabric throughput: mpsc vs shm vs proc backends.
+//! Transport throughput: boxed (`shm`) vs wire-encoded (`proc`) payloads
+//! on the same ring fabric.
 //!
 //! Each measurement times one fused copy ([`assign_copy_on`]) on the
-//! resident pool of the given fabric; the program is compiled by the
-//! warmup, so the numbers isolate the *fabric*:
-//! the unbounded `std::sync::mpsc` reference, the lock-free SPSC
-//! ring-buffer shared-memory fabric, and the ring fabric carrying the
-//! serialized wire format (the in-process twin of what `bcag spmd`
-//! ships between OS processes — the serialization cost without the
-//! pipe cost). Sweeps machine size, stride and element size;
-//! elements/sec is `count / median_ns * 1e9` from the report.
+//! resident pool of the given transport; the program is compiled by the
+//! warmup, so the numbers isolate the *payload form*: boxed buffers on
+//! the lock-free SPSC rings, and the same rings carrying the serialized
+//! wire format (the in-process twin of what `bcag spmd` ships between
+//! OS processes — the serialization cost without the pipe cost). Sweeps
+//! machine size, stride and element size; elements/sec is
+//! `count / median_ns * 1e9` from the report.
 
 use std::hint::black_box;
 
@@ -16,11 +16,11 @@ use bcag_harness::bench::Bench;
 
 use bcag_core::section::RegularSection;
 use bcag_spmd::fuse::assign_copy_on;
-use bcag_spmd::{DistArray, LaunchMode, PackValue, TransportKind};
+use bcag_spmd::{DistArray, PackValue, TransportKind};
 
-/// One measurement triple (all fabrics) for a `cyclic(8) = cyclic(3)`
+/// One measurement pair (both transports) for a `cyclic(8) = cyclic(3)`
 /// redistribution of `count` elements with the given strides.
-fn bench_triple<T: PackValue + Default>(
+fn bench_pair<T: PackValue + Default>(
     bench: &mut Bench,
     group: &str,
     label: &str,
@@ -41,7 +41,7 @@ fn bench_triple<T: PackValue + Default>(
     for kind in TransportKind::ALL {
         let mut a = DistArray::new(p, k_a, n_a, T::default()).unwrap();
         group.bench(&format!("{}/{label}", kind.name()), || {
-            assign_copy_on(&mut a, &sec_a, &b, &sec_b, LaunchMode::Pooled, kind).unwrap();
+            assign_copy_on(&mut a, &sec_a, &b, &sec_b, kind).unwrap();
             black_box(a.local(0).len())
         });
     }
@@ -51,7 +51,7 @@ fn main() {
     let mut bench = Bench::from_env("transport_throughput");
     for p in [4i64, 32] {
         let group = format!("p{p}");
-        bench_triple::<i64>(
+        bench_pair::<i64>(
             &mut bench,
             &group,
             "i64/dense/n100000",
@@ -61,7 +61,7 @@ fn main() {
             1,
             |i| i,
         );
-        bench_triple::<i64>(
+        bench_pair::<i64>(
             &mut bench,
             &group,
             "i64/strided/n50000",
@@ -71,7 +71,7 @@ fn main() {
             2,
             |i| i,
         );
-        bench_triple::<u8>(
+        bench_pair::<u8>(
             &mut bench,
             &group,
             "u8/dense/n100000",
@@ -81,7 +81,7 @@ fn main() {
             1,
             |i| i as u8,
         );
-        bench_triple::<[f64; 4]>(
+        bench_pair::<[f64; 4]>(
             &mut bench,
             &group,
             "f64x4/dense/n25000",

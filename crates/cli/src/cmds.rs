@@ -498,10 +498,9 @@ pub fn stats(argv: &[String]) -> i32 {
         );
         print!("{}", bcag_rt::flight::render(tail));
         println!(
-            "statement compiler: mode={}, transport={}, launch={}",
+            "statement compiler: mode={}, transport={}",
             bcag_spmd::default_fused().name(),
-            bcag_spmd::transport::active_transport().name(),
-            bcag_spmd::pool::default_launch().name()
+            bcag_spmd::transport::active_transport().name()
         );
         println!(
             "blocking: l2={}KiB (BCAG_L2_KB) blocked_epochs={}",

@@ -12,17 +12,30 @@ use std::time::Instant;
 use bcag_core::lattice_alg::build_all;
 use bcag_core::params::Problem;
 
-/// Median wall time of `f` over `reps` runs, in nanoseconds.
-fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as u64
+/// Wall time of one call of `f`, in nanoseconds.
+fn time_ns(f: &mut dyn FnMut()) -> u64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_nanos() as u64
+}
+
+/// Median of each arm's wall time over `rounds` interleaved rounds: each
+/// round times every arm once, in order, so drift in the host's speed
+/// lands on all arms alike instead of on whichever arm ran during it.
+fn interleaved_medians_ns(rounds: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<u64> {
+    let mut samples: Vec<Vec<u64>> = vec![Vec::with_capacity(rounds); arms.len()];
+    for _ in 0..rounds {
+        for (arm, out) in arms.iter_mut().zip(&mut samples) {
+            out.push(time_ns(*arm));
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut s| {
+            s.sort_unstable();
+            s[s.len() / 2]
         })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+        .collect()
 }
 
 #[test]
@@ -40,48 +53,53 @@ fn disabled_instrumentation_overhead_under_two_percent() {
     // Generous bound: every span plus 20 counter calls per processor.
     let hits = (span_hits + 20 * 33) as u64;
 
-    // Per-call cost of the disabled primitives (tracing is off again here:
-    // `capture` stopped the session above).
+    // Per-call cost of the disabled primitives, sampled in the same
+    // rounds as the workload itself: instrumented, tracing disabled
+    // (`capture` stopped the session above). The histogram sites added
+    // for percentile telemetry share the contract: record / timed_span /
+    // gauge are one relaxed load when off.
     assert!(!bcag_trace::enabled());
     let batch = 10_000u64;
-    let span_ns = median_ns(20, || {
-        for _ in 0..batch {
-            let _sp = bcag_trace::span("overhead.probe");
-        }
-    }) / batch;
-    let count_ns = median_ns(20, || {
-        for _ in 0..batch {
-            bcag_trace::count("overhead_probe", 1);
-        }
-    }) / batch;
-    // The histogram sites added for percentile telemetry share the same
-    // contract: record / timed_span / gauge are one relaxed load when off.
-    let record_ns = median_ns(20, || {
-        for _ in 0..batch {
-            bcag_trace::record("overhead_probe_ns", 42);
-        }
-    }) / batch;
-    let timed_ns = median_ns(20, || {
-        for _ in 0..batch {
-            let _t = bcag_trace::timed_span("overhead_probe_ns");
-        }
-    }) / batch;
-    let gauge_ns = median_ns(20, || {
-        for _ in 0..batch {
-            bcag_trace::gauge("overhead_probe_depth", 3);
-        }
-    }) / batch;
-    let per_hit_ns = span_ns
-        .max(count_ns)
-        .max(record_ns)
-        .max(timed_ns)
-        .max(gauge_ns)
+    let medians = interleaved_medians_ns(
+        30,
+        &mut [
+            &mut || {
+                for _ in 0..batch {
+                    let _sp = bcag_trace::span("overhead.probe");
+                }
+            },
+            &mut || {
+                for _ in 0..batch {
+                    bcag_trace::count("overhead_probe", 1);
+                }
+            },
+            &mut || {
+                for _ in 0..batch {
+                    bcag_trace::record("overhead_probe_ns", 42);
+                }
+            },
+            &mut || {
+                for _ in 0..batch {
+                    let _t = bcag_trace::timed_span("overhead_probe_ns");
+                }
+            },
+            &mut || {
+                for _ in 0..batch {
+                    bcag_trace::gauge("overhead_probe_depth", 3);
+                }
+            },
+            &mut || {
+                std::hint::black_box(build_all(&problem).unwrap());
+            },
+        ],
+    );
+    let (primitives, build_ns) = (&medians[..5], medians[5]);
+    let per_hit_ns = primitives
+        .iter()
+        .map(|ns| ns / batch)
+        .max()
+        .unwrap_or(0)
         .max(1);
-
-    // The workload itself, instrumented but with tracing disabled.
-    let build_ns = median_ns(30, || {
-        std::hint::black_box(build_all(&problem).unwrap());
-    });
 
     let overhead_ns = per_hit_ns * hits;
     let budget_ns = build_ns / 50; // 2%

@@ -7,8 +7,7 @@
 //! Each record carries what an operator needs after the fact: the
 //! statement's kind and text, its latency, the data it moved (when
 //! tracing was on), whether the schedule cache answered, and the
-//! execution configuration (L2 blocking, transport, launch mode) it ran
-//! under.
+//! execution configuration (L2 blocking, transport) it ran under.
 //! The ring is dumped to stderr when a statement panics (pool poison
 //! propagates as a panic) and on demand via the `bcag stats`
 //! subcommand.
@@ -44,10 +43,8 @@ pub struct StatementRecord {
     pub cache_misses: u64,
     /// Whether the statement's fused epoch ran L2-blocked.
     pub blocked: bool,
-    /// Transport fabric name (`mpsc` / `shm` / `proc`).
+    /// Transport name (`shm` / `proc`).
     pub transport: &'static str,
-    /// Launch mode name (`pooled` / `scoped`).
-    pub launch: &'static str,
     /// Whether the statement completed without error.
     pub ok: bool,
 }
@@ -119,7 +116,6 @@ pub fn record(kind: &'static str, line: &str, before: Baseline, ok: bool) {
         cache_misses: cache_now.1.saturating_sub(before.cache.1),
         blocked: bcag_spmd::fuse::last_blocked().unwrap_or(false),
         transport: bcag_spmd::transport::active_transport().name(),
-        launch: bcag_spmd::pool::default_launch().name(),
         ok,
     };
     let mut ring = lock_ring();
@@ -143,12 +139,12 @@ pub fn clear() {
 pub fn render(records: &[StatementRecord]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>5} {:<16} {:>10} {:>9} {:>10} {:>5} {:>5} {:<3} {:<6} {:<6} {:<3} statement\n",
-        "seq", "kind", "lat_us", "elems", "tx_bytes", "hit", "miss", "blk", "xport", "launch", "ok",
+        "{:>5} {:<16} {:>10} {:>9} {:>10} {:>5} {:>5} {:<3} {:<6} {:<3} statement\n",
+        "seq", "kind", "lat_us", "elems", "tx_bytes", "hit", "miss", "blk", "xport", "ok",
     ));
     for r in records {
         out.push_str(&format!(
-            "{:>5} {:<16} {:>10.1} {:>9} {:>10} {:>5} {:>5} {:<3} {:<6} {:<6} {:<3} {}\n",
+            "{:>5} {:<16} {:>10.1} {:>9} {:>10} {:>5} {:>5} {:<3} {:<6} {:<3} {}\n",
             r.seq,
             r.kind,
             r.latency_ns as f64 / 1_000.0,
@@ -158,7 +154,6 @@ pub fn render(records: &[StatementRecord]) -> String {
             r.cache_misses,
             if r.blocked { "yes" } else { "no" },
             r.transport,
-            r.launch,
             if r.ok { "yes" } else { "NO" },
             r.line,
         ));
@@ -246,7 +241,6 @@ mod tests {
             cache_misses: 1,
             blocked: true,
             transport: "shm",
-            launch: "pooled",
             ok: true,
         };
         drop(b);

@@ -554,7 +554,12 @@ impl Interp {
                 bcag_core::method::Method::Lattice,
             )
             .map_err(|e| ParseError(e.to_string()))?;
-            let plan = &plans[m as usize];
+            let Some(plan) = usize::try_from(m).ok().and_then(|m| plans.get(m)) else {
+                return err(format!(
+                    "PRINT TABLE processor {m} is outside 0..{}",
+                    plans.len()
+                ));
+            };
             self.output.push(format!(
                 "TABLE {} proc {m}: start={:?} AM={:?}",
                 secref.trim(),

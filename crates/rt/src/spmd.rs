@@ -3,7 +3,7 @@
 //! [`launch`] forks `p` OS processes, each re-invoking the current
 //! executable as a hidden `spmd-node` child that interprets the same
 //! script as one node (see [`run_node`]). The parent is a star router:
-//! one thread per child drains that child's stdout frame-by-frame
+//! one reader thread per child drains that child's stdout frame-by-frame
 //! ([`proc::read_frame`]) and forwards `DATA` frames to the destination
 //! child's stdin, so node-to-node messages cross real process
 //! boundaries as serialized wire bytes. `PRINT` frames carry the
@@ -15,11 +15,19 @@
 //! releasing nodes blocked in a receive so the whole launch fails fast
 //! instead of hanging.
 //!
+//! Forwarding never blocks a read on a write. Each child's stdin has one
+//! writer thread fed by an unbounded queue, and reader threads (and the
+//! POISON broadcast) only enqueue. A child sends every block of a
+//! statement before it receives any, so a reader that wrote straight
+//! into a full stdin pipe would stop draining its own child's stdout
+//! while the destination, itself still sending, never read: every node
+//! would block in `write`.
+//!
 //! Per-(src, dst) frame order is preserved: each source's frames are
-//! forwarded by a single router thread in read order, and each
-//! destination stdin is written under a mutex, which is exactly the
-//! FIFO discipline [`proc::Session::recv_from`]'s per-source demux
-//! assumes.
+//! enqueued by a single reader thread in read order, and each
+//! destination's queue is written out in order by its one writer, which
+//! is exactly the FIFO discipline [`proc::Session::recv_from`]'s
+//! per-source demux assumes.
 //!
 //! The node side is intentionally thin: arrays are fully replicated in
 //! every child (each materializes all `p` locals), so the interpreter
@@ -32,7 +40,9 @@ use std::io::Write as _;
 use std::path::Path;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 use bcag_spmd::transport::proc::{
     self, Frame, KIND_DATA, KIND_DONE, KIND_POISON, KIND_PRINT, KIND_TRACE,
@@ -78,9 +88,9 @@ pub fn script_processors(src: &str) -> Result<usize, String> {
 
 /// Shared state of the star router.
 struct Router {
-    /// Each child's stdin, behind a mutex so DATA forwarding and POISON
-    /// broadcast interleave whole frames.
-    stdins: Vec<Mutex<ChildStdin>>,
+    /// Each child's stdin queue; its writer thread writes whole frames
+    /// in queue order.
+    stdins: Vec<Sender<Frame>>,
     /// Set by the first router thread that sees a child die; gates the
     /// POISON broadcast to once per launch.
     poisoned: AtomicBool,
@@ -89,9 +99,9 @@ struct Router {
 }
 
 impl Router {
-    /// Broadcasts POISON (as node `src`) to every other child. Write
-    /// errors are ignored: a closed stdin means that child is already
-    /// dead and its own router thread handles it.
+    /// Broadcasts POISON (as node `src`) to every other child. Send
+    /// errors are ignored: a closed queue means that child's stdin is
+    /// already dead and its own reader thread handles it.
     fn poison_all(&self, src: usize) {
         if self.poisoned.swap(true, Ordering::SeqCst) {
             return;
@@ -106,13 +116,29 @@ impl Router {
                 dst: dst as u32,
                 body: Vec::new(),
             };
-            let _ = proc::write_frame(&mut *lock_either(stdin), &frame);
+            let _ = stdin.send(frame);
         }
     }
 }
 
+/// Spawns the writer thread of one child's stdin: writes the queued
+/// frames in order until the queue closes or the pipe breaks. A write
+/// failure means the child is already dead; its reader thread
+/// broadcasts the poison, and later sends to this queue fail silently.
+fn spawn_writer(mut stdin: ChildStdin) -> (Sender<Frame>, JoinHandle<()>) {
+    let (tx, rx) = channel::<Frame>();
+    let writer = std::thread::spawn(move || {
+        for frame in rx {
+            if proc::write_frame(&mut stdin, &frame).is_err() {
+                return;
+            }
+        }
+    });
+    (tx, writer)
+}
+
 /// Locks a mutex whether or not another router thread panicked while
-/// holding it (a poisoned stdin lock still guards a usable pipe).
+/// holding it (each push leaves the collected lines usable).
 fn lock_either<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -132,6 +158,7 @@ pub fn launch(
     }
     let mut children: Vec<Child> = Vec::with_capacity(p);
     let mut stdins = Vec::with_capacity(p);
+    let mut writers = Vec::with_capacity(p);
     let mut stdouts = Vec::with_capacity(p);
     for me in 0..p {
         let mut cmd = Command::new(exe);
@@ -150,7 +177,9 @@ pub fn launch(
         let mut child = cmd
             .spawn()
             .map_err(|e| format!("spawning node {me}: {e}"))?;
-        stdins.push(Mutex::new(child.stdin.take().expect("piped stdin")));
+        let (stdin, writer) = spawn_writer(child.stdin.take().expect("piped stdin"));
+        stdins.push(stdin);
+        writers.push(writer);
         stdouts.push(child.stdout.take().expect("piped stdout"));
         children.push(child);
     }
@@ -161,7 +190,7 @@ pub fn launch(
         traces: Mutex::new(Vec::new()),
     });
 
-    // One router thread per child: drain its stdout, forward DATA,
+    // One reader thread per child: drain its stdout, forward DATA,
     // collect PRINT/TRACE, report whether an orderly DONE arrived.
     let mut threads = Vec::with_capacity(p);
     for (me, mut out) in stdouts.into_iter().enumerate() {
@@ -183,10 +212,10 @@ pub fn launch(
                             router.poison_all(me);
                             return false;
                         }
-                        let mut stdin = lock_either(&router.stdins[dst]);
-                        // A write failure means dst is already dead; its
-                        // own router thread broadcasts the poison.
-                        let _ = proc::write_frame(&mut *stdin, &frame);
+                        // A send failure means dst's stdin is already
+                        // dead; its own reader thread broadcasts the
+                        // poison.
+                        let _ = router.stdins[dst].send(frame);
                     }
                     KIND_PRINT => lock_either(&router.output)
                         .push(String::from_utf8_lossy(&frame.body).into_owned()),
@@ -209,6 +238,13 @@ pub fn launch(
             failed.push(me);
         }
     }
+    let router = Arc::try_unwrap(router).unwrap_or_else(|_| unreachable!("threads joined"));
+    // Every child is done or dead: closing the queues lets each writer
+    // flush what is left (to a dead child, it fails fast) and exit.
+    drop(router.stdins);
+    for writer in writers {
+        let _ = writer.join();
+    }
     for (me, child) in children.iter_mut().enumerate() {
         let status = child
             .wait()
@@ -223,7 +259,6 @@ pub fn launch(
         ));
     }
 
-    let router = Arc::try_unwrap(router).unwrap_or_else(|_| unreachable!("threads joined"));
     let output = router
         .output
         .into_inner()

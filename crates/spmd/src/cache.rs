@@ -84,7 +84,7 @@ enum Key {
         method: Method,
         /// The execution context the schedule will run under. The
         /// schedule *data* is context-independent, but keying on the
-        /// (exec mode, transport) pair guarantees an A/B run switching
+        /// (exec mode, transport) pair guarantees a run switching
         /// transports mid-process can never observe a plan warmed for —
         /// and potentially specialized to — the other configuration.
         exec: (ExecMode, TransportKind),
@@ -775,7 +775,7 @@ pub fn fused<V: Send + Sync + 'static>(
 mod tests {
     use super::*;
 
-    const CTX: (ExecMode, TransportKind) = (ExecMode::Batched, TransportKind::Mpsc);
+    const CTX: (ExecMode, TransportKind) = (ExecMode::Batched, TransportKind::Shm);
 
     #[test]
     fn schedule_hits_share_one_arc() {
@@ -790,7 +790,7 @@ mod tests {
     #[test]
     fn execution_context_is_part_of_the_key() {
         // Same build parameters under different transports must be
-        // distinct entries: an A/B run switching fabrics can never be
+        // distinct entries: a run switching payload forms can never be
         // served a plan warmed for the other configuration.
         let sec_a = RegularSection::new(9, 1209, 24).unwrap();
         let sec_b = RegularSection::new(1, 1201, 24).unwrap();
@@ -803,7 +803,7 @@ mod tests {
             &sec_b,
             Method::Lattice,
             ExecMode::Batched,
-            TransportKind::Shm,
+            TransportKind::Proc,
         )
         .unwrap();
         assert!(!Arc::ptr_eq(&base, &other_kind));

@@ -49,11 +49,12 @@ fn dim_rank_owners(
 /// Executes `A(sec_a[0], sec_a[1]) = B(sec_b[0], sec_b[1])`.
 ///
 /// Both matrices must be rank-2 with identity alignment; sections must
-/// conform per dimension. The two matrices may use entirely different
-/// grids and blockings — each side is decomposed with its own per-dimension
-/// rank lists. Data moves through a rank-space staging buffer (dense over
-/// the section), standing in for the message-passing exchange; the
-/// message-level simulation lives in [`crate::comm`] for the 1-D case.
+/// conform per dimension and lie inside their matrices. The two matrices
+/// may use entirely different grids and blockings — each side is
+/// decomposed with its own per-dimension rank lists. Data moves through
+/// a rank-space staging buffer (dense over the section), standing in for
+/// the message-passing exchange; the message-level simulation lives in
+/// [`crate::comm`] for the 1-D case.
 pub fn assign_matrix<T>(
     a: &mut DistMatrix<T>,
     sec_a: &[RegularSection; 2],
@@ -70,6 +71,8 @@ where
             ));
         }
     }
+    a.check_section(sec_a)?;
+    b.check_section(sec_b)?;
     let method = Method::Lattice;
 
     // --- Pack phase on B: rank-space staging buffer (t0-major = column
@@ -195,5 +198,29 @@ mod tests {
             RegularSection::new(0, 9, 1).unwrap(),
         ];
         assert!(assign_matrix(&mut a, &sec_a, &b, &sec_b).is_err());
+    }
+
+    #[test]
+    fn out_of_range_sections_are_errors() {
+        let b = mk(10, 2, 3);
+        let mut a = mk(10, 3, 2);
+        let full = RegularSection::new(0, 9, 1).unwrap();
+        let past = RegularSection::new(0, 12, 1).unwrap();
+        let shifted = RegularSection::new(3, 12, 1).unwrap();
+        for (sec_a, sec_b) in [
+            ([past, full], [past, full]),
+            ([full, full], [full, shifted]),
+            ([full, shifted], [full, full]),
+        ] {
+            assert!(matches!(
+                assign_matrix(&mut a, &sec_a, &b, &sec_b),
+                Err(BcagError::Precondition(_))
+            ));
+        }
+        let strided_past = RegularSection::new(0, 13, 3).unwrap();
+        assert!(a
+            .apply_section(&[full, strided_past], |_, _, x| *x = -1)
+            .is_err());
+        assert!(a.to_dense().unwrap().iter().flatten().all(|&x| x == 0));
     }
 }

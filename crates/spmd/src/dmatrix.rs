@@ -14,6 +14,7 @@ use bcag_hpf::diagonal::diagonal_accesses;
 use bcag_hpf::triangular::{trapezoid_accesses, Trapezoid};
 use bcag_hpf::ArrayMap;
 
+use crate::fuse::fits;
 use crate::machine::Machine;
 
 /// A dense matrix distributed over a processor grid.
@@ -102,13 +103,29 @@ impl<T: Clone + Send + Sync> DistMatrix<T> {
         &mut self.locals[rank as usize]
     }
 
+    /// Fails unless each dimension's section lies inside that
+    /// dimension's extent, so a statement never indexes past a local
+    /// image nor silently drops the elements outside the matrix.
+    pub(crate) fn check_section(&self, section: &[RegularSection; 2]) -> Result<()> {
+        let extents = self.map.extents();
+        if section.iter().zip(extents).all(|(sec, n)| fits(sec, n)) {
+            Ok(())
+        } else {
+            Err(BcagError::Precondition(
+                "a 2-D section reaches outside its matrix",
+            ))
+        }
+    }
+
     /// Applies `f(i, j, &mut elem)` to every owned element of the
-    /// rectangular section, SPMD across the grid.
+    /// rectangular section, SPMD across the grid. The section must lie
+    /// inside the matrix.
     pub fn apply_section(
         &mut self,
         section: &[RegularSection; 2],
         f: impl Fn(i64, i64, &mut T) + Sync,
     ) -> Result<()> {
+        self.check_section(section)?;
         let map = &self.map;
         let work: Vec<Vec<(Vec<i64>, i64)>> = map
             .grid()

@@ -252,9 +252,9 @@ struct ScatterStep {
 /// per-logical-message `charges` are compiled here and the wire carries
 /// only values. `blocks[i]` scatters the `i`-th physical message from
 /// `src`; each step's `off` is relative to that block's payload.
-/// Per-producer FIFO on every transport (one mpsc channel or SPSC ring
-/// per directed pair in process, the router's per-source order across
-/// processes) keeps block order deterministic.
+/// Per-producer FIFO on every transport (one SPSC ring per directed pair
+/// in process, the router's per-source order across processes) keeps
+/// block order deterministic.
 struct RecvPlan {
     src: usize,
     charges: Vec<u64>,
@@ -376,37 +376,33 @@ impl<T: PackValue> FusedStatement<T> {
     /// the apply loop monomorphized over `f`.
     /// `operands` must be the arrays the program was compiled for, in
     /// compile order (same `p`, `k`, and sections); contents are free to
-    /// vary. Inside a multi-process session use the statement entry
-    /// points ([`assign_fused_on`], [`crate::statement::assign_expr`]),
-    /// which run the replicated form instead.
+    /// vary. `kind` picks the payload form on the ring fabric; `_launch`
+    /// is always [`LaunchMode::Pooled`]. Inside a multi-process session
+    /// use the statement entry points ([`assign_fused_on`],
+    /// [`crate::statement::assign_expr`]), which run the replicated form
+    /// instead.
     pub fn execute<F>(
         &self,
         a: &mut DistArray<T>,
         operands: &[&DistArray<T>],
         f: F,
-        launch: LaunchMode,
+        _launch: LaunchMode,
         kind: TransportKind,
     ) where
         F: Fn(&[T]) -> T + Sync,
     {
-        self.epoch(a, operands, Some(&f), launch, kind);
+        self.epoch(a, operands, Some(&f), kind);
     }
 
     /// Runs the copy epoch `A(sec_a) = B(sec_b)` of a one-operand
     /// program: self-moves and inbound scatters write straight into the
     /// LHS image — no staging snapshot, no apply phase.
-    pub(crate) fn copy(
-        &self,
-        a: &mut DistArray<T>,
-        b: &DistArray<T>,
-        launch: LaunchMode,
-        kind: TransportKind,
-    ) {
+    pub(crate) fn copy(&self, a: &mut DistArray<T>, b: &DistArray<T>, kind: TransportKind) {
         assert!(
             self.nodes.iter().all(|n| n.self_moves.len() == 1),
             "a copy runs a one-operand program"
         );
-        self.epoch(a, &[b], None::<&NoBody<T>>, launch, kind);
+        self.epoch(a, &[b], None::<&NoBody<T>>, kind);
     }
 
     /// Epoch-level bookkeeping: the flight recorder's blocking note and,
@@ -428,7 +424,6 @@ impl<T: PackValue> FusedStatement<T> {
         a: &mut DistArray<T>,
         operands: &[&DistArray<T>],
         f: Option<&F>,
-        launch: LaunchMode,
         kind: TransportKind,
     ) where
         F: Fn(&[T]) -> T + Sync + ?Sized,
@@ -439,7 +434,7 @@ impl<T: PackValue> FusedStatement<T> {
         bcag_trace::set_tag("transport", kind.name());
         self.note_epoch(true);
         let slots: Vec<Mutex<&mut Vec<T>>> = a.locals_mut().iter_mut().map(Mutex::new).collect();
-        pool::launch_with(self.p, launch, kind, |me, ctx| {
+        pool::launch_with(self.p, kind, |me, ctx| {
             let _sp = bcag_trace::span("fuse.epoch.node");
             let mut slot = lock_clean(&slots[me]);
             let ops: Vec<&[T]> = operands.iter().map(|b| b.local(me as i64)).collect();
@@ -1309,23 +1304,22 @@ pub fn cached_program<T: PackValue>(
 }
 
 /// Executes `A(sec_a) = f(operand values…)` through the cached fused
-/// program on an explicit launch mode and transport — the entry point
-/// behind [`crate::statement::assign_expr`]. Inside a multi-process
-/// session the replicated run replaces the pool epoch (whatever `launch`
-/// and `kind` say) and malformed peer frames surface as errors.
+/// program on an explicit transport — the entry point behind
+/// [`crate::statement::assign_expr`]. Inside a multi-process session the
+/// replicated run replaces the pool epoch (whatever `kind` says) and
+/// malformed peer frames surface as errors.
 pub fn assign_fused_on<T, F>(
     a: &mut DistArray<T>,
     sec_a: &RegularSection,
     operands: &[(&DistArray<T>, RegularSection)],
     f: F,
-    launch: LaunchMode,
     kind: TransportKind,
 ) -> Result<()>
 where
     T: PackValue,
     F: Fn(&[T]) -> T + Sync,
 {
-    run(a, sec_a, operands, Some(&f), launch, kind)
+    run(a, sec_a, operands, Some(&f), kind)
 }
 
 /// Executes the copy `A(sec_a) = B(sec_b)` through the copy run of the
@@ -1337,15 +1331,14 @@ pub fn assign_copy_on<T: PackValue>(
     sec_a: &RegularSection,
     b: &DistArray<T>,
     sec_b: &RegularSection,
-    launch: LaunchMode,
     kind: TransportKind,
 ) -> Result<()> {
-    run(a, sec_a, &[(b, *sec_b)], None::<&NoBody<T>>, launch, kind)
+    run(a, sec_a, &[(b, *sec_b)], None::<&NoBody<T>>, kind)
 }
 
 /// Whether every element `sec` touches is an index of an array of
 /// `len` elements.
-fn fits(sec: &RegularSection, len: i64) -> bool {
+pub(crate) fn fits(sec: &RegularSection, len: i64) -> bool {
     let n = sec.normalized();
     n.count == 0 || (n.lo >= 0 && n.hi < len)
 }
@@ -1358,7 +1351,6 @@ fn run<T, F>(
     sec_a: &RegularSection,
     operands: &[(&DistArray<T>, RegularSection)],
     f: Option<&F>,
-    launch: LaunchMode,
     kind: TransportKind,
 ) -> Result<()>
 where
@@ -1396,8 +1388,8 @@ where
         return program.replicated(a, &arrays, f, &session);
     }
     match f {
-        Some(f) => program.epoch(a, &arrays, Some(f), launch, kind),
-        None => program.copy(a, arrays[0], launch, kind),
+        Some(f) => program.epoch(a, &arrays, Some(f), kind),
+        None => program.copy(a, arrays[0], kind),
     }
     Ok(())
 }
@@ -1541,8 +1533,8 @@ mod tests {
         fn cached<T: PackValue>(block: usize) -> Arc<FusedStatement<T>> {
             let sec_a = RegularSection::new(1, 1171, 26).unwrap();
             let ops = [(9i64, RegularSection::new(3, 1173, 26).unwrap())];
-            let (batched, mpsc) = (ExecMode::Batched, TransportKind::Mpsc);
-            cached_program::<T>(3, 11, &sec_a, &ops, batched, mpsc, block).unwrap()
+            let (batched, shm) = (ExecMode::Batched, TransportKind::Shm);
+            cached_program::<T>(3, 11, &sec_a, &ops, batched, shm, block).unwrap()
         }
         let first = cached::<i64>(0);
         let second = cached::<i64>(0);
@@ -1559,7 +1551,7 @@ mod tests {
     #[test]
     fn census_counts_structure() {
         let sec = RegularSection::new(0, 239, 1).unwrap();
-        let prog = compiled::<i64>(4, 8, &sec, &[(3, sec)], TransportKind::Mpsc, 0);
+        let prog = compiled::<i64>(4, 8, &sec, &[(3, sec)], TransportKind::Shm, 0);
         let census = prog.census();
         assert!(census.sends > 0, "redistribution must send messages");
         assert_eq!(census.sends, census.recvs, "every send has a receiver");
@@ -1585,17 +1577,17 @@ mod tests {
         let sec_b = RegularSection::new(1, 399, 2).unwrap();
         let ops = vec![(b.k(), sec_b)];
         let run = |block: usize| {
-            let prog = compiled::<i64>(3, 7, &sec_a, &ops, TransportKind::Mpsc, block);
+            let prog = compiled::<i64>(3, 7, &sec_a, &ops, TransportKind::Shm, block);
             let mut a = DistArray::new(3, 7, n, 0i64).unwrap();
             prog.execute(
                 &mut a,
                 &[&b],
                 |v| v[0] * 2 + 1,
                 pool::default_launch(),
-                TransportKind::Mpsc,
+                TransportKind::Shm,
             );
             let mut c = DistArray::new(3, 7, n, 0i64).unwrap();
-            prog.copy(&mut c, &b, pool::default_launch(), TransportKind::Proc);
+            prog.copy(&mut c, &b, TransportKind::Proc);
             (prog.census(), a.to_global(), c.to_global())
         };
         let (base_census, want, _) = run(0);
@@ -1667,14 +1659,14 @@ mod tests {
         let sec = RegularSection::new(2, 1195, 3).unwrap();
         let ops = vec![(8i64, sec)];
         let run = |block: usize| {
-            let prog = compiled::<f64>(2, 8, &sec, &ops, TransportKind::Mpsc, block);
+            let prog = compiled::<f64>(2, 8, &sec, &ops, TransportKind::Shm, block);
             let mut a = DistArray::new(2, 8, n, -1.0f64).unwrap();
             prog.execute(
                 &mut a,
                 &[&b],
                 |v| v[0] * 0.5,
                 pool::default_launch(),
-                TransportKind::Mpsc,
+                TransportKind::Shm,
             );
             (prog.census(), a.to_global())
         };
@@ -1692,14 +1684,14 @@ mod tests {
         }
         // Zero-operand fills block too.
         let fill = |block: usize| {
-            let prog = compiled::<f64>(2, 8, &sec, &[], TransportKind::Mpsc, block);
+            let prog = compiled::<f64>(2, 8, &sec, &[], TransportKind::Shm, block);
             let mut a = DistArray::new(2, 8, n, 0.0f64).unwrap();
             prog.execute(
                 &mut a,
                 &[],
                 |_| 9.0,
                 pool::default_launch(),
-                TransportKind::Mpsc,
+                TransportKind::Shm,
             );
             a.to_global()
         };

@@ -10,13 +10,13 @@
 //!   ("maximum over all processors") the paper reports;
 //! * [`pool`] — the resident worker pool behind every launch: `p`
 //!   persistent node threads, a reusable fabric, and per-node buffer
-//!   arenas, with the historical per-call `thread::scope` path
-//!   selectable as [`pool::LaunchMode::Scoped`];
-//! * [`transport`] — the pluggable fabric those node threads exchange
-//!   envelopes over: the reference `mpsc` backend, a lock-free
-//!   shared-memory SPSC ring-buffer backend, and the serialized-wire
-//!   backend behind the `bcag spmd` multi-process launcher, selected by
-//!   [`Machine::with_transport`] or `BCAG_TRANSPORT={mpsc,shm,proc}`;
+//!   arenas;
+//! * [`transport`] — the fabric those node threads exchange envelopes
+//!   over: lock-free shared-memory SPSC rings carrying boxed buffers
+//!   ([`TransportKind::Shm`]) or the serialized wire format
+//!   ([`TransportKind::Proc`], selected by [`Machine::with_transport`]),
+//!   plus the pipe session behind the `bcag spmd` multi-process
+//!   launcher;
 //! * [`darray`] — distributed arrays in the `cyclic(k)` layout of Figure 1;
 //! * [`codeshapes`] — the four node-code shapes of Figure 8 that Table 2
 //!   compares;
@@ -108,4 +108,4 @@ pub use stats::{
     block_size_tradeoff, comm_stats, fuse_census, load_stats, per_node_packed_from_trace,
     CommStats, LoadStats,
 };
-pub use transport::{default_transport, set_default_transport, TransportKind};
+pub use transport::TransportKind;

@@ -7,71 +7,44 @@
 //! [`Machine::run_timed`] reproduces the "maximum over all processors"
 //! measurement discipline.
 //!
-//! By default node programs run on the resident worker pool
-//! ([`crate::pool`]): the `p` node threads boot once per process and
-//! every subsequent launch is a dispatch, not a spawn. The historical
-//! per-call `thread::scope` path remains selectable via
-//! [`Machine::scoped`] / [`LaunchMode::Scoped`] for A/B measurement;
-//! both paths run the identical node body, so all deterministic trace
-//! counters are bit-identical across modes.
+//! Node programs run on the resident worker pool ([`crate::pool`]):
+//! the `p` node threads boot once per process and every subsequent
+//! launch is a dispatch, not a spawn.
 
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::pool::{self, into_clean, lock_clean, LaunchMode};
-use crate::transport::{self, TransportKind};
+use crate::pool::{self, into_clean, lock_clean};
+use crate::transport::TransportKind;
 
 /// A simulated distributed-memory machine with `p` nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Machine {
     p: i64,
-    mode: LaunchMode,
     kind: TransportKind,
 }
 
 impl Machine {
-    /// Creates a machine with `p >= 1` nodes, using the process-default
-    /// launch mode (see [`pool::default_launch`]) and transport (see
-    /// [`transport::default_transport`]).
+    /// Creates a machine with `p >= 1` nodes exchanging boxed envelopes
+    /// ([`TransportKind::Shm`]).
     pub fn new(p: i64) -> Self {
-        Machine::with_mode(p, pool::default_launch())
+        Machine::with_transport(p, TransportKind::Shm)
     }
 
-    /// Creates a machine with an explicit launch mode on the
-    /// process-default transport.
-    pub fn with_mode(p: i64, mode: LaunchMode) -> Self {
-        assert!(p >= 1, "machine needs at least one node");
-        Machine {
-            p,
-            mode,
-            kind: transport::default_transport(),
-        }
-    }
-
-    /// Creates a machine whose node contexts exchange envelopes over an
-    /// explicit fabric ([`TransportKind::Mpsc`], [`TransportKind::Shm`]
-    /// or [`TransportKind::Proc`]).
+    /// Creates a machine whose node contexts exchange envelopes in an
+    /// explicit payload form ([`TransportKind::Shm`] or
+    /// [`TransportKind::Proc`]).
     pub fn with_transport(p: i64, kind: TransportKind) -> Self {
         assert!(p >= 1, "machine needs at least one node");
-        Machine {
-            p,
-            mode: pool::default_launch(),
-            kind,
-        }
+        Machine { p, kind }
     }
 
-    /// Creates a pooled machine and eagerly boots its worker pool, so
-    /// the first statement doesn't pay the one-time thread spawn.
+    /// Creates a machine and eagerly boots its worker pool, so the first
+    /// statement doesn't pay the one-time thread spawn.
     pub fn with_pool(p: i64) -> Self {
-        let machine = Machine::with_mode(p, LaunchMode::Pooled);
+        let machine = Machine::new(p);
         pool::warm(p);
         machine
-    }
-
-    /// Creates a machine on the historical per-call `thread::scope`
-    /// path (fresh threads every launch).
-    pub fn scoped(p: i64) -> Self {
-        Machine::with_mode(p, LaunchMode::Scoped)
     }
 
     /// Number of nodes.
@@ -79,26 +52,21 @@ impl Machine {
         self.p
     }
 
-    /// This machine's launch mode.
-    pub fn mode(&self) -> LaunchMode {
-        self.mode
-    }
-
-    /// This machine's transport fabric.
+    /// This machine's transport.
     pub fn transport(&self) -> TransportKind {
         self.kind
     }
 
     /// The one launch loop behind [`Machine::run`], [`Machine::run_timed`]
     /// and [`Machine::run_collect`]: runs `node(m)` on every node through
-    /// [`pool::launch`], times each node, and credits `barrier_wait_ns`
+    /// [`pool::launch_with`], times each node, and credits `barrier_wait_ns`
     /// after the join.
     fn launch_timed<F>(&self, node: F) -> Vec<Duration>
     where
         F: Fn(usize) + Sync,
     {
         let times: Vec<Mutex<Duration>> = (0..self.p).map(|_| Mutex::new(Duration::ZERO)).collect();
-        pool::launch_with(self.p, self.mode, self.kind, |m, _ctx| {
+        pool::launch_with(self.p, self.kind, |m, _ctx| {
             let _sp = bcag_trace::span("spmd.node");
             let t0 = std::time::Instant::now();
             node(m);
@@ -220,8 +188,11 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_scoped_agree() {
-        for machine in [Machine::with_pool(5), Machine::scoped(5)] {
+    fn every_transport_gives_each_node_its_memory() {
+        for machine in [
+            Machine::with_pool(5),
+            Machine::with_transport(5, TransportKind::Proc),
+        ] {
             let mut locals: Vec<Vec<i64>> = (0..5).map(|m| vec![m as i64; 6]).collect();
             machine.run(&mut locals, |m, local| {
                 for (i, x) in local.iter_mut().enumerate() {
@@ -230,7 +201,7 @@ mod tests {
             });
             for (m, local) in locals.iter().enumerate() {
                 let want: Vec<i64> = (0..6).map(|i| (m * 10 + i) as i64).collect();
-                assert_eq!(local, &want, "mode {:?}", machine.mode());
+                assert_eq!(local, &want, "{}", machine.transport().name());
             }
         }
     }

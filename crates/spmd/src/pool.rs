@@ -15,15 +15,14 @@
 //!   (machine size, transport) by [`global`] (or eagerly by [`warm`]) and
 //!   resident for the process lifetime. The thread name doubles as the
 //!   trace-lane label, so counters recorded on a worker aggregate on one
-//!   persistent `node-<m>` lane exactly as scoped threads' per-launch
-//!   lanes would sum. When the machine has exactly one node per CPU the
-//!   process may use, worker `m` is pinned to the `m`-th of those CPUs,
-//!   so no epoch runs two nodes on one CPU while another idles.
-//! - **Fabric** — each node owns a [`crate::transport::Endpoint`] on the
-//!   pool's fabric ([`TransportKind::Mpsc`] inboxes or the lock-free
-//!   SPSC rings of [`TransportKind::Shm`]/[`TransportKind::Proc`]); node
-//!   jobs exchange [`Envelope`]s (type-erased boxed payloads) without
-//!   creating channels per call.
+//!   persistent `node-<m>` lane. When the machine has exactly one node
+//!   per CPU the process may use, worker `m` is pinned to the `m`-th of
+//!   those CPUs, so no epoch runs two nodes on one CPU while another
+//!   idles.
+//! - **Fabric** — each node owns an endpoint on the pool's lock-free
+//!   SPSC ring fabric ([`crate::transport::ring`]); node jobs exchange
+//!   [`Envelope`]s (type-erased boxed payloads, or wire-encoded bytes
+//!   under [`TransportKind::Proc`]) without creating channels per call.
 //! - **Arena** — each node owns a [`BufferArena`] recycling pack/unpack
 //!   `Vec` allocations across statements; steady-state batched execution
 //!   allocates nothing once buffers reach their high-water mark.
@@ -39,17 +38,16 @@
 //!   drains every inbox and re-raises the original panic; the pool
 //!   itself stays usable.
 //!
-//! [`launch`] is the single entry point: `LaunchMode::Pooled` routes
-//! through the resident pool, `LaunchMode::Scoped` reproduces the
-//! historical per-call `thread::scope` path (kept for A/B benchmarking).
-//! Both modes run the *same* node body, so deterministic counter totals
-//! (`messages_sent`, `bytes_packed`, …) are bit-identical by
-//! construction.
+//! [`launch_with`] is the single entry point, and it routes through the
+//! resident pool. Two cases cannot: a launch from inside a pool worker
+//! (the busy pool would deadlock on its own gate) runs on a private
+//! per-call `thread::scope` with a fresh fabric and the same poison
+//! protocol, and inside a `bcag spmd` node process bodies run inline.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -58,61 +56,30 @@ use bcag_core::method::Method;
 use bcag_core::params::Problem;
 use bcag_core::pattern::AccessPattern;
 
-use crate::transport::{self, BarrierArrive, BarrierRelease, Endpoint, Poison, TransportKind};
+use crate::transport::ring::{self, Endpoint};
+use crate::transport::{self, BarrierArrive, BarrierRelease, Poison, TransportKind};
 
 pub use crate::transport::Envelope;
 
-/// How SPMD node bodies are launched.
+/// How SPMD node bodies are launched: always on the resident worker
+/// pool. The type survives because benchmark reports still record it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaunchMode {
-    /// Dispatch to the resident worker pool (default): zero thread
-    /// spawns and recycled buffers on the steady-state path.
+    /// Dispatch to the resident worker pool: zero thread spawns and
+    /// recycled buffers on the steady-state path.
     Pooled,
-    /// Spawn a fresh `thread::scope` per call — the historical launch
-    /// path, kept selectable for A/B benchmarking.
-    Scoped,
 }
 
 impl LaunchMode {
     /// Stable lowercase name, used in bench labels.
     pub fn name(&self) -> &'static str {
-        match self {
-            LaunchMode::Pooled => "pooled",
-            LaunchMode::Scoped => "scoped",
-        }
+        "pooled"
     }
 }
 
-/// Process-default launch mode: 0 = unset, 1 = pooled, 2 = scoped.
-static DEFAULT_LAUNCH: AtomicU8 = AtomicU8::new(0);
-
-/// The process-wide default [`LaunchMode`], used by `Machine::new` and
-/// the statement entry points. Initialized lazily from the
-/// `BCAG_LAUNCH` env var (`scoped` selects the per-call thread path;
-/// anything else, or unset, selects the pool).
+/// The process's launch mode (always [`LaunchMode::Pooled`]).
 pub fn default_launch() -> LaunchMode {
-    match DEFAULT_LAUNCH.load(Ordering::Relaxed) {
-        1 => LaunchMode::Pooled,
-        2 => LaunchMode::Scoped,
-        _ => {
-            let mode = match std::env::var("BCAG_LAUNCH").as_deref() {
-                Ok("scoped") => LaunchMode::Scoped,
-                _ => LaunchMode::Pooled,
-            };
-            set_default_launch(mode);
-            mode
-        }
-    }
-}
-
-/// Overrides the process-wide default [`LaunchMode`] (benchmarks use
-/// this to A/B the two paths within one process).
-pub fn set_default_launch(mode: LaunchMode) {
-    let v = match mode {
-        LaunchMode::Pooled => 1,
-        LaunchMode::Scoped => 2,
-    };
-    DEFAULT_LAUNCH.store(v, Ordering::Relaxed);
+    LaunchMode::Pooled
 }
 
 /// Arena shelves hold at most this many idle buffers per payload type;
@@ -219,12 +186,12 @@ impl BufferArena {
 pub struct NodeCtx {
     m: usize,
     kind: TransportKind,
-    link: Box<dyn Endpoint>,
+    link: Endpoint,
     arena: BufferArena,
 }
 
 impl NodeCtx {
-    fn new(m: usize, kind: TransportKind, link: Box<dyn Endpoint>) -> NodeCtx {
+    fn new(m: usize, kind: TransportKind, link: Endpoint) -> NodeCtx {
         NodeCtx {
             m,
             kind,
@@ -243,7 +210,7 @@ impl NodeCtx {
         self.link.p()
     }
 
-    /// Which fabric this context's envelopes travel over.
+    /// Which payload form this context's envelopes carry.
     pub fn transport(&self) -> TransportKind {
         self.kind
     }
@@ -274,9 +241,9 @@ impl NodeCtx {
     }
 
     /// Full barrier over all nodes of the machine, built on the fabric's
-    /// envelope exchange (every backend inherits it): each node reports
-    /// to node 0, node 0 releases everyone. Only valid at quiescent
-    /// points — no data envelopes may be in flight.
+    /// envelope exchange: each node reports to node 0, node 0 releases
+    /// everyone. Only valid at quiescent points — no data envelopes may
+    /// be in flight.
     pub fn barrier(&mut self) {
         let p = self.p();
         if self.m == 0 {
@@ -326,9 +293,9 @@ impl NodeCtx {
 
     /// Broadcasts poison to every other node. Best-effort with a bounded
     /// retry: a peer blocked in `recv` keeps draining its rings, so a
-    /// full ring clears quickly, but a departed peer (scoped-mode
-    /// teardown) must not block the panicking node's acknowledgement
-    /// forever.
+    /// full ring clears quickly, but a peer whose body already returned
+    /// no longer drains, and its full ring must not block the panicking
+    /// node's acknowledgement forever.
     fn poison_peers(&mut self) {
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(100);
         for dst in 0..self.p() {
@@ -372,8 +339,8 @@ thread_local! {
 }
 
 /// True on pool worker threads. Nested launches from inside a node body
-/// fall back to the scoped path — dispatching to the (busy) pool from
-/// one of its own workers would deadlock on the gate.
+/// fall back to a private thread scope — dispatching to the (busy) pool
+/// from one of its own workers would deadlock on the gate.
 pub fn in_worker() -> bool {
     IN_WORKER.with(|f| f.get())
 }
@@ -496,10 +463,11 @@ mod affinity {
 }
 
 impl Pool {
-    /// Boots `p` resident workers with a fresh fabric of the given kind.
+    /// Boots `p` resident workers on a fresh ring fabric carrying the
+    /// given payload form.
     fn new(p: usize, kind: TransportKind) -> Pool {
         assert!(p >= 1, "machine needs at least one node");
-        let endpoints = transport::connect(kind, p);
+        let endpoints = ring::fabric(p);
         let cpus = worker_cpus(p);
         let mut workers = Vec::with_capacity(p);
         for (m, link) in endpoints.into_iter().enumerate() {
@@ -509,8 +477,7 @@ impl Pool {
             let cpu = cpus.as_ref().map(|cpus| cpus[m]);
             std::thread::Builder::new()
                 // The thread name is the default trace-lane label, so
-                // pooled counters land on `node-<m>` lanes exactly like
-                // scoped ones.
+                // pooled counters land on `node-<m>` lanes.
                 .name(format!("node-{m}"))
                 .spawn(move || {
                     if let Some(cpu) = cpu {
@@ -555,7 +522,7 @@ impl Pool {
         self.p
     }
 
-    /// The fabric this pool's node contexts exchange envelopes over.
+    /// The payload form this pool's node contexts exchange.
     pub fn transport(&self) -> TransportKind {
         self.kind
     }
@@ -655,7 +622,7 @@ static POOL_TICK: AtomicU64 = AtomicU64::new(0);
 /// Resolves the resident-pool cap from `BCAG_MAX_POOLS`. An explicit
 /// positive integer is respected verbatim; unset or unparseable falls
 /// back to the host's core count (floor 2, so single-core CI machines
-/// can still keep a pool per transport under A/B tests without churn).
+/// can still keep a pool per transport without churn).
 fn parse_max_pools(var: Option<&str>) -> usize {
     match var.and_then(|s| s.trim().parse::<usize>().ok()) {
         Some(n) if n >= 1 => n,
@@ -743,10 +710,10 @@ fn registry_shard(p: usize, kind: TransportKind) -> &'static RwLock<Vec<Arc<Pool
     &registry()[(hash >> 32) as usize & (REGISTRY_SHARDS - 1)]
 }
 
-/// The resident pool for machine size `p` on the process-default
-/// transport, booting it on first use.
+/// The resident pool for machine size `p` carrying boxed envelopes
+/// ([`TransportKind::Shm`]), booting it on first use.
 pub fn global(p: i64) -> Arc<Pool> {
-    global_with(p, transport::default_transport())
+    global_with(p, TransportKind::Shm)
 }
 
 /// The resident pool for machine size `p` on an explicit transport.
@@ -801,28 +768,20 @@ pub fn warm(p: i64) {
     let _ = global(p);
 }
 
-/// Runs `body(m, ctx)` on every node of a `p`-node machine on the
-/// process-default transport and blocks until all finish.
-pub fn launch<F>(p: i64, mode: LaunchMode, body: F)
-where
-    F: Fn(usize, &mut NodeCtx) + Sync,
-{
-    launch_with(p, mode, transport::default_transport(), body)
-}
-
 /// Runs `body(m, ctx)` on every node of a `p`-node machine and blocks
-/// until all finish. `Pooled` dispatches to the resident pool for
-/// `(p, kind)`; `Scoped` (or any launch from inside a pool worker)
-/// spawns a per-call `thread::scope` with a fresh fabric and arenas.
+/// until all finish, on the resident pool for `(p, kind)`.
 ///
-/// Inside an `spmd` node process (multi-process session installed), the
-/// process *is* one node: bodies run inline on the calling thread for
-/// every node index, against a loopback fabric. Node-to-node data never
-/// reaches this path there — the statement entry points detect the
-/// session first and run the fused program's replicated form over the
-/// serialized wire — so inline bodies are compute-only and every node's
-/// local-memory image stays consistent within each process.
-pub fn launch_with<F>(p: i64, mode: LaunchMode, kind: TransportKind, body: F)
+/// A launch from inside a pool worker cannot dispatch to the (busy)
+/// pool, so it spawns a private `thread::scope` with a fresh fabric and
+/// arenas instead. Inside an `spmd` node process (multi-process session
+/// installed), the process *is* one node: bodies run inline on the
+/// calling thread for every node index, against a loopback fabric.
+/// Node-to-node data never reaches this path there — the statement
+/// entry points detect the session first and run the fused program's
+/// replicated form over the serialized wire — so inline bodies are
+/// compute-only and every node's local-memory image stays consistent
+/// within each process.
+pub fn launch_with<F>(p: i64, kind: TransportKind, body: F)
 where
     F: Fn(usize, &mut NodeCtx) + Sync,
 {
@@ -830,16 +789,16 @@ where
     if transport::proc::active().is_some() {
         return launch_inline(p as usize, &body);
     }
-    match mode {
-        LaunchMode::Pooled if !in_worker() => global_with(p, kind).dispatch(&body),
-        _ => launch_scoped(p as usize, kind, &body),
+    if in_worker() {
+        return launch_scoped(p as usize, kind, &body);
     }
+    global_with(p, kind).dispatch(&body)
 }
 
-/// The historical launch path: fresh threads, fresh fabric, fresh
+/// The nested-launch fallback: fresh threads, fresh fabric, fresh
 /// arenas, one `thread::scope` per call.
 fn launch_scoped(p: usize, kind: TransportKind, body: &(dyn Fn(usize, &mut NodeCtx) + Sync)) {
-    let mut ctxs: Vec<NodeCtx> = transport::connect(kind, p)
+    let mut ctxs: Vec<NodeCtx> = ring::fabric(p)
         .into_iter()
         .enumerate()
         .map(|(m, link)| NodeCtx::new(m, kind, link))
@@ -876,10 +835,8 @@ fn launch_scoped(p: usize, kind: TransportKind, body: &(dyn Fn(usize, &mut NodeC
 /// bodies must not communicate here.
 fn launch_inline(p: usize, body: &(dyn Fn(usize, &mut NodeCtx) + Sync)) {
     for m in 0..p {
-        let link = transport::connect(TransportKind::Mpsc, 1)
-            .pop()
-            .expect("one endpoint");
-        let mut ctx = NodeCtx::new(m, TransportKind::Mpsc, link);
+        let link = ring::fabric(1).pop().expect("one endpoint");
+        let mut ctx = NodeCtx::new(m, TransportKind::Shm, link);
         body(m, &mut ctx);
     }
 }
@@ -891,7 +848,7 @@ pub fn build_all(problem: &Problem, method: Method) -> Result<Vec<AccessPattern>
     let _sp = bcag_trace::span("pool.build_all");
     let slots: Vec<Mutex<Option<Result<AccessPattern>>>> =
         (0..problem.p()).map(|_| Mutex::new(None)).collect();
-    launch(problem.p(), default_launch(), |m, _ctx| {
+    launch_with(problem.p(), TransportKind::Shm, |m, _ctx| {
         let result = bcag_core::method::build(problem, m as i64, method);
         *lock_clean(&slots[m]) = Some(result);
     });
@@ -937,7 +894,7 @@ mod tests {
             return;
         }
         assert_eq!(worker_cpus(cpus.len()).as_deref(), Some(&cpus[..]));
-        let pool = Pool::new(cpus.len(), TransportKind::Mpsc);
+        let pool = Pool::new(cpus.len(), TransportKind::Shm);
         let seen: Vec<Mutex<Vec<usize>>> = cpus.iter().map(|_| Mutex::new(Vec::new())).collect();
         pool.dispatch(&|m, _ctx| *lock_clean(&seen[m]) = affinity::allowed());
         for (m, &cpu) in cpus.iter().enumerate() {
@@ -963,18 +920,16 @@ mod tests {
     #[test]
     fn fabric_ring_pass() {
         for kind in TransportKind::ALL {
-            for mode in [LaunchMode::Pooled, LaunchMode::Scoped] {
-                let p = 5usize;
-                let got: Vec<Mutex<i64>> = (0..p).map(|_| Mutex::new(-1)).collect();
-                launch_with(p as i64, mode, kind, |m, ctx| {
-                    ctx.send((m + 1) % p, Box::new(m as i64));
-                    let env = ctx.recv();
-                    *lock_clean(&got[m]) = *env.downcast::<i64>().expect("ring payload");
-                });
-                for (m, slot) in got.iter().enumerate() {
-                    let want = ((m + p - 1) % p) as i64;
-                    assert_eq!(*lock_clean(slot), want, "{} {mode:?} node {m}", kind.name());
-                }
+            let p = 5usize;
+            let got: Vec<Mutex<i64>> = (0..p).map(|_| Mutex::new(-1)).collect();
+            launch_with(p as i64, kind, |m, ctx| {
+                ctx.send((m + 1) % p, Box::new(m as i64));
+                let env = ctx.recv();
+                *lock_clean(&got[m]) = *env.downcast::<i64>().expect("ring payload");
+            });
+            for (m, slot) in got.iter().enumerate() {
+                let want = ((m + p - 1) % p) as i64;
+                assert_eq!(*lock_clean(slot), want, "{} node {m}", kind.name());
             }
         }
     }
@@ -984,7 +939,7 @@ mod tests {
         for kind in TransportKind::ALL {
             let p = 4usize;
             let after: Vec<Mutex<u32>> = (0..p).map(|_| Mutex::new(0)).collect();
-            launch_with(p as i64, LaunchMode::Scoped, kind, |m, ctx| {
+            launch_with(p as i64, kind, |m, ctx| {
                 ctx.barrier();
                 *lock_clean(&after[m]) += 1;
                 ctx.barrier();
@@ -1050,11 +1005,11 @@ mod tests {
     #[test]
     fn nested_launch_falls_back_to_scoped() {
         let outer: Vec<Mutex<usize>> = (0..3).map(|_| Mutex::new(0)).collect();
-        launch(3, LaunchMode::Pooled, |m, _ctx| {
+        launch_with(3, TransportKind::Shm, |m, _ctx| {
             // A body that itself launches a machine must not dead-lock
             // on the pool gate.
             let inner: Vec<Mutex<usize>> = (0..2).map(|_| Mutex::new(0)).collect();
-            launch(2, LaunchMode::Pooled, |j, _ctx| {
+            launch_with(2, TransportKind::Shm, |j, _ctx| {
                 *lock_clean(&inner[j]) += 1;
             });
             let total: usize = inner.iter().map(|s| *lock_clean(s)).sum();
@@ -1094,12 +1049,12 @@ mod tests {
     #[test]
     fn registry_shares_one_pool_per_key() {
         let _serial = lock_clean(&REGISTRY_TEST_LOCK);
-        let a = global_with(3, TransportKind::Mpsc);
-        let b = global_with(3, TransportKind::Mpsc);
+        let a = global_with(3, TransportKind::Shm);
+        let b = global_with(3, TransportKind::Shm);
         assert!(Arc::ptr_eq(&a, &b));
-        let other_kind = global_with(3, TransportKind::Shm);
+        let other_kind = global_with(3, TransportKind::Proc);
         assert!(!Arc::ptr_eq(&a, &other_kind));
-        let other_p = global_with(2, TransportKind::Mpsc);
+        let other_p = global_with(2, TransportKind::Shm);
         assert!(!Arc::ptr_eq(&a, &other_p));
     }
 
@@ -1159,7 +1114,7 @@ mod tests {
         // Cap of 2 with a keep-key matching none of them: the three
         // stalest idle pools must be evicted, leaving the fleet under
         // the cap with only the most recently used survivor.
-        enforce_pool_cap(2, 0, TransportKind::Mpsc);
+        enforce_pool_cap(2, 0, TransportKind::Shm);
         assert!(!registered(31, TransportKind::Shm), "LRU pool evicted");
         assert!(!registered(32, TransportKind::Shm));
         assert!(!registered(33, TransportKind::Shm));

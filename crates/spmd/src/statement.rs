@@ -27,7 +27,6 @@ use bcag_core::section::RegularSection;
 use crate::comm::PackValue;
 use crate::darray::DistArray;
 use crate::fuse;
-use crate::pool;
 use crate::transport;
 
 /// Executes `A(sec_a) = f(operand values...)` where each operand is a
@@ -49,14 +48,7 @@ where
     T: PackValue,
     F: Fn(&[T]) -> T + Sync,
 {
-    fuse::assign_fused_on(
-        a,
-        sec_a,
-        operands,
-        f,
-        pool::default_launch(),
-        transport::active_transport(),
-    )
+    fuse::assign_fused_on(a, sec_a, operands, f, transport::active_transport())
 }
 
 /// Executes the copy `A(sec_a) = B(sec_b)` for conforming sections on
@@ -68,14 +60,7 @@ pub fn assign_array<T: PackValue>(
     b: &DistArray<T>,
     sec_b: &RegularSection,
 ) -> Result<()> {
-    fuse::assign_copy_on(
-        a,
-        sec_a,
-        b,
-        sec_b,
-        pool::default_launch(),
-        transport::active_transport(),
-    )
+    fuse::assign_copy_on(a, sec_a, b, sec_b, transport::active_transport())
 }
 
 /// Redistributes an array to a new block size: returns a `cyclic(new_k)`
@@ -99,7 +84,6 @@ mod tests {
     use bcag_core::error::BcagError;
 
     use super::*;
-    use crate::pool::LaunchMode;
     use crate::transport::TransportKind;
 
     /// The sequential global-index reference of `A(sec_a) = B(sec_b)`.
@@ -241,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn copies_match_the_oracle_on_every_transport_and_launch() {
+    fn copies_match_the_oracle_on_every_transport() {
         // A strided same-layout copy (communication-free) and a genuine
         // cyclic(8) = cyclic(3) redistribution.
         let n = 300i64;
@@ -255,11 +239,9 @@ mod tests {
             let b = DistArray::from_global(4, k_b, &bg).unwrap();
             let want = oracle(&vec![-1; n as usize], &sec_a, &bg, &sec_b);
             for kind in TransportKind::ALL {
-                for launch in [LaunchMode::Pooled, LaunchMode::Scoped] {
-                    let mut a = DistArray::new(4, k_a, n, -1i64).unwrap();
-                    fuse::assign_copy_on(&mut a, &sec_a, &b, &sec_b, launch, kind).unwrap();
-                    assert_eq!(a.to_global(), want, "{} {}", kind.name(), launch.name());
-                }
+                let mut a = DistArray::new(4, k_a, n, -1i64).unwrap();
+                fuse::assign_copy_on(&mut a, &sec_a, &b, &sec_b, kind).unwrap();
+                assert_eq!(a.to_global(), want, "{}", kind.name());
             }
         }
     }
@@ -279,10 +261,10 @@ mod tests {
         let wb = DistArray::from_global(4, 5, &words).unwrap();
         for kind in TransportKind::ALL {
             let mut qa = DistArray::new(4, 3, n, [0.0f64; 4]).unwrap();
-            fuse::assign_copy_on(&mut qa, &sec, &qb, &sec, LaunchMode::Scoped, kind).unwrap();
+            fuse::assign_copy_on(&mut qa, &sec, &qb, &sec, kind).unwrap();
             assert_eq!(qa.to_global(), quads, "{}", kind.name());
             let mut wa = DistArray::new(4, 7, n, String::new()).unwrap();
-            fuse::assign_copy_on(&mut wa, &sec, &wb, &sec, LaunchMode::Pooled, kind).unwrap();
+            fuse::assign_copy_on(&mut wa, &sec, &wb, &sec, kind).unwrap();
             assert_eq!(wa.to_global(), words, "{}", kind.name());
         }
     }

@@ -6,9 +6,8 @@
 //! the closed forms the access machinery provides — no element scanning:
 //! per-processor section counts from [`bcag_core::start::count_owned`],
 //! message volumes from [`crate::comm::CommSchedule`]. The trace-derived
-//! cross-checks below work in both launch modes: resident pool workers
-//! carry persistent `node-<m>` lanes whose counters sum exactly like the
-//! per-launch lanes of scoped threads.
+//! cross-checks below read the resident pool workers' persistent
+//! `node-<m>` lanes.
 
 use bcag_core::error::Result;
 use bcag_core::params::Problem;
@@ -17,7 +16,7 @@ use bcag_core::start::count_owned;
 
 use crate::comm::{CommSchedule, ExecMode};
 use crate::fuse::{self, FuseCensus};
-use crate::transport;
+use crate::transport::TransportKind;
 
 /// Load distribution of a section over a `(p, k)` layout.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,7 +147,7 @@ pub fn fuse_census(
         sec_a,
         ops,
         ExecMode::Batched,
-        transport::default_transport(),
+        TransportKind::Shm,
         // Census at the resolved L2 size, so `bcag stats` shows the
         // blocking the fused path would actually run with.
         fuse::epoch_block_elems::<f64>(sec_a),

@@ -6,7 +6,7 @@
 //! report: element-for-element agreement with a sequential assignment,
 //! and counter totals equal to the schedule's closed-form counts
 //! (`total_elements`, `nonlocal_elements`, `nonempty_nonlocal_pairs`,
-//! canonical `wire_size`) on every transport and launch mode.
+//! canonical `wire_size`) on every transport.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -15,7 +15,6 @@ use bcag_core::section::RegularSection;
 use bcag_harness::prop;
 use bcag_spmd::comm::wire::wire_size;
 use bcag_spmd::fuse::assign_copy_on;
-use bcag_spmd::pool::LaunchMode;
 use bcag_spmd::{assign_array, cache, CommSchedule, DistArray, ExecMode, TransportKind};
 
 /// Tracing is a process-global switch and the resident pool is shared,
@@ -84,14 +83,13 @@ fn copy_matches_sequential_oracle_randomized() {
 /// The deterministic counters of one traced copy: `(elements_moved,
 /// elements_nonlocal, messages_sent, bytes_packed, transport_bytes_tx,
 /// transport_bytes_rx)`.
-fn traced_totals(case: &Case, launch: LaunchMode, kind: TransportKind) -> [u64; 6] {
+fn traced_totals(case: &Case, kind: TransportKind) -> [u64; 6] {
     let &(p, k_a, k_b, ..) = case;
     let (sec_a, sec_b) = sections(case);
     let bg: Vec<i64> = (0..=sec_b.normalized().hi).collect();
     let b = DistArray::from_global(p, k_b, &bg).unwrap();
     let mut a = DistArray::new(p, k_a, sec_a.normalized().hi + 1, 0i64).unwrap();
-    let (result, trace) =
-        bcag_trace::capture(|| assign_copy_on(&mut a, &sec_a, &b, &sec_b, launch, kind));
+    let (result, trace) = bcag_trace::capture(|| assign_copy_on(&mut a, &sec_a, &b, &sec_b, kind));
     result.unwrap();
     [
         "elements_moved",
@@ -143,15 +141,7 @@ fn counter_totals_equal_closed_forms_randomized() {
         |case| {
             let want = closed_form(case);
             for kind in TransportKind::ALL {
-                for launch in [LaunchMode::Pooled, LaunchMode::Scoped] {
-                    assert_eq!(
-                        traced_totals(case, launch, kind),
-                        want,
-                        "{} {} {case:?}",
-                        kind.name(),
-                        launch.name()
-                    );
-                }
+                assert_eq!(traced_totals(case, kind), want, "{} {case:?}", kind.name());
             }
         },
     );
@@ -169,7 +159,7 @@ fn messages_sent_equals_nonempty_nonlocal_pairs() {
         (5, 2, 3, 77, 0, 13, 11, 2),
         (4, 8, 8, 256, 0, 1, 0, 1), // identity copy: zero messages
     ] {
-        let messages = traced_totals(&case, LaunchMode::Pooled, TransportKind::Mpsc)[2];
+        let messages = traced_totals(&case, TransportKind::Shm)[2];
         assert_eq!(messages, closed_form(&case)[2], "{case:?}");
     }
 }
@@ -190,7 +180,7 @@ fn schedule_cache_counters_are_traced() {
             &sec_b,
             Method::Lattice,
             ExecMode::Batched,
-            TransportKind::Mpsc,
+            TransportKind::Shm,
         )
         .unwrap()
     };

@@ -1,10 +1,10 @@
 //! Randomized suite: fused epochs vs the sequential global-index oracle.
 //!
 //! These properties draw random statement shapes — machine size, block
-//! sizes, sections, operand count, transport, launch mode — run the
-//! fused statement and compare the full global image bit for bit (`f64`
-//! compares `to_bits`, so `-0.0`/`NaN` drift would fail too) with a
-//! sequential evaluation of the statement over global indices.
+//! sizes, sections, operand count, transport — run the fused statement
+//! and compare the full global image bit for bit (`f64` compares
+//! `to_bits`, so `-0.0`/`NaN` drift would fail too) with a sequential
+//! evaluation of the statement over global indices.
 //! Operand counts span 0–4, so both the fixed-size argument arrays of
 //! the monomorphized apply (0–3 operands) and its `Vec` fallback run,
 //! over the element types the benchmarks move (`f64`, `i64`, `u8`,
@@ -18,7 +18,6 @@ use bcag_core::section::RegularSection;
 use bcag_harness::prop::{self, Config};
 use bcag_harness::rng::Rng;
 use bcag_spmd::fuse::{assign_copy_on, assign_fused_on};
-use bcag_spmd::pool::LaunchMode;
 use bcag_spmd::{DistArray, TransportKind};
 
 /// One random statement shape.
@@ -31,7 +30,6 @@ struct Case {
     /// Operand block sizes and sections (all conforming to `sec_a`).
     ops: Vec<(i64, RegularSection)>,
     kind: TransportKind,
-    launch: LaunchMode,
 }
 
 fn random_section(rng: &mut Rng, count: i64) -> (i64, RegularSection) {
@@ -56,7 +54,6 @@ fn random_case(rng: &mut Rng) -> Case {
     }
     let n = max_hi + 1 + rng.random_range(0..=9);
     let kind = *rng.choice(&TransportKind::ALL);
-    let launch = *rng.choice(&[LaunchMode::Pooled, LaunchMode::Scoped]);
     Case {
         p,
         k_a,
@@ -64,7 +61,6 @@ fn random_case(rng: &mut Rng) -> Case {
         sec_a,
         ops,
         kind,
-        launch,
     }
 }
 
@@ -124,15 +120,7 @@ fn against_oracle<T, F>(
         );
     };
     let mut fused = DistArray::from_global(case.p, case.k_a, &base).unwrap();
-    assign_fused_on(
-        &mut fused,
-        &case.sec_a,
-        &operands,
-        f,
-        case.launch,
-        case.kind,
-    )
-    .unwrap();
+    assign_fused_on(&mut fused, &case.sec_a, &operands, f, case.kind).unwrap();
     same(
         &fused.to_global(),
         &oracle(&base, &case.sec_a, &globals, f),
@@ -140,7 +128,7 @@ fn against_oracle<T, F>(
     );
     if let [(b, sec_b)] = operands[..] {
         let mut copied = DistArray::from_global(case.p, case.k_a, &base).unwrap();
-        assign_copy_on(&mut copied, &case.sec_a, b, &sec_b, case.launch, case.kind).unwrap();
+        assign_copy_on(&mut copied, &case.sec_a, b, &sec_b, case.kind).unwrap();
         let want = oracle(&base, &case.sec_a, &globals, |v: &[T]| v[0].clone());
         same(&copied.to_global(), &want, "copy");
     }
@@ -309,7 +297,6 @@ fn panic_poison_recovers_through_a_fused_epoch() {
                     }
                     args[0]
                 },
-                LaunchMode::Pooled,
                 kind,
             )
         }));
@@ -326,7 +313,6 @@ fn panic_poison_recovers_through_a_fused_epoch() {
             &sec,
             &[(&src, sec)],
             |args: &[f64]| args[0] * 2.0 + 1.0,
-            LaunchMode::Pooled,
             kind,
         )
         .unwrap();
@@ -357,7 +343,6 @@ fn fused_self_assignment_snapshots() {
         &sec_dst,
         &[(&src, sec_src)],
         |args: &[i64]| args[0],
-        LaunchMode::Pooled,
         TransportKind::Shm,
     )
     .unwrap();

@@ -1,18 +1,17 @@
-//! Pooled vs scoped launch: the resident worker pool must be invisible.
+//! The resident worker pool must be invisible.
 //!
-//! [`LaunchMode::Pooled`] changes *where* node programs run (resident
-//! worker threads fed through a dispatch/epoch barrier) but must not
-//! change anything observable: array contents must equal the sequential
-//! oracle and every deterministic trace counter total must match the
-//! per-call `thread::scope` path exactly. These tests pin that for fused
-//! copies over randomized layouts and a rotating set of payload types,
-//! and check that a panicking node program poisons the epoch cleanly —
-//! re-raised on the dispatcher, pool still usable — instead of hanging
-//! the fabric.
+//! The pool changes *where* node programs run (resident worker threads
+//! fed through a dispatch/epoch barrier) but must not change anything
+//! observable: array contents must equal the sequential oracle and every
+//! deterministic trace counter total must equal the schedule's closed
+//! form. These tests pin that for fused copies over randomized layouts
+//! and a rotating set of payload types, on both payload forms, and check
+//! that a panicking node program poisons the epoch cleanly — re-raised
+//! on the dispatcher, pool still usable — instead of hanging the fabric.
 //!
 //! Timing counters (`*_ns`) and `pool_buffer_reuses` are deliberately
-//! excluded from the comparison: wall-clock differs per run, and arena
-//! recycling is the one counter that *should* differ between modes.
+//! excluded: wall-clock differs per run, and arena recycling depends on
+//! what ran on the pool before.
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,7 +20,7 @@ use std::sync::{Mutex, MutexGuard};
 use bcag_core::section::RegularSection;
 use bcag_harness::prop;
 use bcag_spmd::fuse::assign_copy_on;
-use bcag_spmd::{assign_array, DistArray, LaunchMode, Machine, PackValue, TransportKind};
+use bcag_spmd::{assign_array, CommSchedule, DistArray, Machine, PackValue, TransportKind};
 
 /// Tracing is process-global and the pool is shared: tests that trace
 /// or poison the pool run alone.
@@ -50,15 +49,15 @@ fn random_case(rng: &mut bcag_harness::rng::Rng) -> Case {
 /// elements_nonlocal, messages_sent, bytes_packed)`.
 type Totals = (u64, u64, u64, u64);
 
-/// Runs `A(sec_a) = B(sec_b)` once under `launch` and returns the final
-/// global contents plus the deterministic counter totals.
+/// Runs `A(sec_a) = B(sec_b)` once on the pool over `kind` and returns
+/// the final global contents plus the deterministic counter totals.
 fn run_once<T, F>(
     p: i64,
     k_a: i64,
     k_b: i64,
     sec_a: &RegularSection,
     sec_b: &RegularSection,
-    launch: LaunchMode,
+    kind: TransportKind,
     make: &F,
 ) -> (Vec<T>, Totals)
 where
@@ -70,9 +69,7 @@ where
     let bg: Vec<T> = (0..n_b).map(make).collect();
     let b = DistArray::from_global(p, k_b, &bg).unwrap();
     let mut a = DistArray::new(p, k_a, n_a, make(-1)).unwrap();
-    let kind = TransportKind::Mpsc;
-    let (result, trace) =
-        bcag_trace::capture(|| assign_copy_on(&mut a, sec_a, &b, sec_b, launch, kind));
+    let (result, trace) = bcag_trace::capture(|| assign_copy_on(&mut a, sec_a, &b, sec_b, kind));
     result.unwrap();
     (
         a.to_global(),
@@ -85,8 +82,26 @@ where
     )
 }
 
-/// Both launch modes must reproduce the sequential oracle's contents,
-/// and pooled must match scoped in every deterministic counter.
+/// The same four totals in closed form, straight from the schedule.
+fn closed_form<T>(
+    p: i64,
+    k_a: i64,
+    k_b: i64,
+    sec_a: &RegularSection,
+    sec_b: &RegularSection,
+) -> Totals {
+    let sched = CommSchedule::build_lattice(p, k_a, sec_a, k_b, sec_b).unwrap();
+    let total = sched.total_elements() as u64;
+    (
+        total,
+        sched.nonlocal_elements() as u64,
+        sched.nonempty_nonlocal_pairs() as u64,
+        total * std::mem::size_of::<T>() as u64,
+    )
+}
+
+/// Pooled runs on both payload forms must reproduce the sequential
+/// oracle's contents and the schedule's closed-form counter totals.
 fn check_case<T, F>(case: &Case, make: F)
 where
     T: PackValue + Debug + PartialEq,
@@ -99,21 +114,25 @@ where
     for (ia, ib) in sec_a.iter().zip(sec_b.iter()) {
         want[ia as usize] = make(ib);
     }
-    let (scoped_g, scoped_totals) =
-        run_once(p, k_a, k_b, &sec_a, &sec_b, LaunchMode::Scoped, &make);
-    let (pooled_g, pooled_totals) =
-        run_once(p, k_a, k_b, &sec_a, &sec_b, LaunchMode::Pooled, &make);
+    let want_totals = closed_form::<T>(p, k_a, k_b, &sec_a, &sec_b);
     let ctx = format!(
         "p={p} k_a={k_a} k_b={k_b} sec_a={l_a}:{}:{s_a} sec_b={l_b}:{}:{s_b}",
         sec_a.u, sec_b.u,
     );
-    assert_eq!(scoped_g, want, "scoped contents diverged: {ctx}");
-    assert_eq!(pooled_g, want, "pooled contents diverged: {ctx}");
-    assert_eq!(pooled_totals, scoped_totals, "counters diverged: {ctx}");
+    for kind in TransportKind::ALL {
+        let (got, totals) = run_once(p, k_a, k_b, &sec_a, &sec_b, kind, &make);
+        assert_eq!(got, want, "{} contents diverged: {ctx}", kind.name());
+        assert_eq!(
+            totals,
+            want_totals,
+            "{} counters diverged: {ctx}",
+            kind.name()
+        );
+    }
 }
 
 #[test]
-fn pooled_matches_scoped_oracle_randomized() {
+fn pooled_matches_oracle_and_closed_forms_randomized() {
     let _serial = serial();
     let gen = prop::from_fn(random_case);
     let cfg = prop::Config {
@@ -122,7 +141,7 @@ fn pooled_matches_scoped_oracle_randomized() {
     };
     prop::check_with(
         &cfg,
-        "pooled == scoped == oracle (contents + counter totals)",
+        "pooled == oracle (contents) == closed forms (counter totals)",
         &gen,
         |case| match case.8 {
             0 => check_case(case, |i| 10_000 + 3 * i),
@@ -135,7 +154,7 @@ fn pooled_matches_scoped_oracle_randomized() {
 }
 
 #[test]
-fn pooled_matches_scoped_on_degenerate_layouts() {
+fn pooled_matches_oracle_on_degenerate_layouts() {
     let _serial = serial();
     // Edge shapes the generator rarely hits: single node, k = 1 fine
     // cyclic, one giant block, single-element sections.

@@ -1,19 +1,20 @@
-//! Cross-backend equivalence of the transport fabrics.
+//! Equivalence of the two payload forms on the ring fabric.
 //!
-//! The pluggable transports (`mpsc`, `shm`, `proc`) must be perfectly
-//! interchangeable: identical array contents after any fused copy, and
-//! identical deterministic counter totals — the
+//! Boxed envelopes (`shm`) and the serialized wire format (`proc`) must
+//! be perfectly interchangeable: identical array contents after any
+//! fused copy, and identical deterministic counter totals — the
 //! transport byte counters are charged at the canonical wire size on
-//! every backend precisely so this holds. This suite drives a
-//! randomized sweep of layouts and payload types over all three
-//! fabrics against a sequential oracle, plus the poison protocol
-//! (panic propagation) on each backend.
+//! every transport precisely so this holds. This suite drives a
+//! randomized sweep of layouts and payload types over both forms
+//! against a sequential oracle, plus the poison protocol (panic
+//! propagation) on the resident pool and on the nested-launch fallback.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use bcag_core::section::RegularSection;
 use bcag_spmd::fuse::assign_copy_on;
-use bcag_spmd::pool::{self, LaunchMode};
+use bcag_spmd::pool;
 use bcag_spmd::{DistArray, TransportKind};
 
 /// xorshift64*: deterministic layout generator, no dependencies.
@@ -84,15 +85,7 @@ fn run_one<T: bcag_spmd::PackValue + PartialEq + std::fmt::Debug>(
     let mut a = DistArray::new(layout.p, layout.k_a, layout.n_a, fill.clone()).unwrap();
     let b = DistArray::from_global(layout.p, layout.k_b, b_global).unwrap();
     let ((), trace) = bcag_trace::capture(|| {
-        assign_copy_on(
-            &mut a,
-            &layout.sec_a,
-            &b,
-            &layout.sec_b,
-            LaunchMode::Pooled,
-            kind,
-        )
-        .unwrap();
+        assign_copy_on(&mut a, &layout.sec_a, &b, &layout.sec_b, kind).unwrap();
     });
     let totals = DETERMINISTIC
         .iter()
@@ -113,7 +106,7 @@ fn oracle<T: Clone>(layout: &Layout, fill: &T, b_global: &[T]) -> Vec<T> {
     a
 }
 
-/// One layout, one payload type: all three transports must match the
+/// One layout, one payload type: both transports must match the
 /// oracle's contents and each other's deterministic counter totals.
 fn check_layout<T: bcag_spmd::PackValue + PartialEq + std::fmt::Debug>(
     layout: &Layout,
@@ -172,25 +165,34 @@ fn every_transport_matches_the_oracle_on_random_layouts() {
 }
 
 #[test]
-fn poison_propagates_on_every_transport() {
-    // One node panicking mid-exchange must release peers blocked in a
-    // receive on every fabric — the launch panics instead of hanging.
+fn poison_propagates_on_the_nested_launch_fallback() {
+    // A launch from inside a pool worker runs on a private thread scope.
+    // One of its nodes panicking mid-exchange must release peers blocked
+    // in a receive on every transport — the inner launch panics instead
+    // of hanging, and the outer epoch is unaffected.
     for kind in TransportKind::ALL {
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            pool::launch_with(4, LaunchMode::Scoped, kind, |m, ctx| {
-                if m == 1 {
-                    panic!("node job exploded on {}", ctx.transport().name());
-                }
-                if m == 2 {
-                    // Blocked on data that never comes: node 1's poison
-                    // must release this receive.
-                    let _ = ctx.recv();
-                }
-            });
-        }));
+        let reraised = AtomicBool::new(false);
+        pool::launch_with(2, kind, |outer, _ctx| {
+            if outer != 0 {
+                return;
+            }
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                pool::launch_with(4, kind, |m, ctx| {
+                    if m == 1 {
+                        panic!("node job exploded on {}", ctx.transport().name());
+                    }
+                    if m == 2 {
+                        // Blocked on data that never comes: node 1's
+                        // poison must release this receive.
+                        let _ = ctx.recv();
+                    }
+                });
+            }));
+            reraised.store(err.is_err(), Ordering::SeqCst);
+        });
         assert!(
-            err.is_err(),
-            "{}: launch must re-raise the node panic",
+            reraised.load(Ordering::SeqCst),
+            "{}: nested launch must re-raise the node panic",
             kind.name()
         );
     }
@@ -198,12 +200,12 @@ fn poison_propagates_on_every_transport() {
 
 #[test]
 fn poison_propagates_on_the_resident_pool_per_transport() {
-    // The pooled path goes through dispatch + epoch barrier rather than
-    // scoped threads; the poison protocol must behave identically, and
-    // the pool must stay usable afterwards.
+    // The pooled path goes through dispatch + epoch barrier; a panicking
+    // node must release its blocked peers there too, and the pool must
+    // stay usable afterwards.
     for kind in TransportKind::ALL {
         let err = catch_unwind(AssertUnwindSafe(|| {
-            pool::launch_with(4, LaunchMode::Pooled, kind, |m, ctx| {
+            pool::launch_with(4, kind, |m, ctx| {
                 if m == 0 {
                     panic!("node job exploded");
                 }

@@ -18,7 +18,6 @@ use bcag_harness::prop::{self, Config};
 use bcag_harness::rng::Rng;
 use bcag_spmd::fuse::{self, assign_fused_on};
 use bcag_spmd::pack::{pack_with_buf, unpack};
-use bcag_spmd::pool::LaunchMode;
 use bcag_spmd::{DistArray, TransportKind};
 
 /// The resolved L2 size and the last epoch's blocking note are
@@ -199,15 +198,7 @@ fn run_stmt(case: &StmtCase) -> Vec<f64> {
     let (base, b_vals) = stmt_inputs(case);
     let mut a = DistArray::from_global(case.p, case.k_a, &base).unwrap();
     let b = DistArray::from_global(case.p, case.k_b, &b_vals).unwrap();
-    assign_fused_on(
-        &mut a,
-        &case.sec_a,
-        &[(&b, case.sec_b)],
-        body,
-        LaunchMode::Pooled,
-        case.kind,
-    )
-    .unwrap();
+    assign_fused_on(&mut a, &case.sec_a, &[(&b, case.sec_b)], body, case.kind).unwrap();
     a.to_global()
 }
 
@@ -265,15 +256,7 @@ fn blocked_statements_stay_bit_exact() {
         for (l2, blocked) in [(1u64 << 30, false), (32 * 1024, true)] {
             tune::set_l2_bytes(l2);
             let mut a = DistArray::from_global(3, k_a, &base).unwrap();
-            assign_fused_on(
-                &mut a,
-                &sec,
-                &[(&b, sec)],
-                f,
-                LaunchMode::Pooled,
-                TransportKind::Mpsc,
-            )
-            .unwrap();
+            assign_fused_on(&mut a, &sec, &[(&b, sec)], f, TransportKind::Shm).unwrap();
             assert_eq!(
                 fuse::last_blocked(),
                 Some(blocked),
@@ -345,15 +328,7 @@ fn blocked_multi_operand_statements_stay_bit_exact() {
             for (l2, blocked) in [(1u64 << 30, false), (32 * 1024, true)] {
                 tune::set_l2_bytes(l2);
                 let mut a = DistArray::from_global(3, k_a, &base).unwrap();
-                assign_fused_on(
-                    &mut a,
-                    &sec_a,
-                    &operands,
-                    f,
-                    LaunchMode::Pooled,
-                    TransportKind::Mpsc,
-                )
-                .unwrap();
+                assign_fused_on(&mut a, &sec_a, &operands, f, TransportKind::Shm).unwrap();
                 assert_eq!(
                     fuse::last_blocked(),
                     Some(blocked),
