@@ -377,23 +377,57 @@ impl Interp {
 
         let lhs_section = RegularSection::new(lhs.a * lo + lhs.b, lhs.a * hi + lhs.b, lhs.a * st)
             .map_err(|e| ParseError(e.to_string()))?;
-        let operand_arrays: Vec<DistArray<f64>> = sections
+        let refs: Vec<(&str, RegularSection)> = sections
             .iter()
-            .map(|(_, r)| self.get(&r.array).cloned())
-            .collect::<Result<_, _>>()?;
-        let operands: Vec<(&DistArray<f64>, RegularSection)> = operand_arrays
-            .iter()
-            .zip(&sections)
-            .map(|(a, (_, r))| (a, r.section))
+            .map(|(_, r)| (r.array.as_str(), r.section))
             .collect();
-        let target = self
-            .arrays
-            .get_mut(&lhs.array)
-            .ok_or_else(|| ParseError(format!("unknown array `{}`", lhs.array)))?;
-        assign_expr(target, &lhs_section, &operands, |args| {
+        self.assign_named(&lhs.array, &lhs_section, &refs, |args| {
             crate::expr::eval_ast(&ast, args)
         })
-        .map_err(|e| ParseError(e.to_string()))
+    }
+
+    /// Runs `assign_expr` into the array named `lhs` from the named
+    /// operand sections. The LHS leaves the map for the statement and
+    /// goes back on every path, errors included; the other operands are
+    /// borrowed, and only operands naming the LHS read a copy of it
+    /// (taken once), which keeps `A = A + 1` a snapshot read.
+    fn assign_named(
+        &mut self,
+        lhs: &str,
+        lhs_section: &RegularSection,
+        refs: &[(&str, RegularSection)],
+        f: impl Fn(&[f64]) -> f64 + Sync,
+    ) -> Result<(), ParseError> {
+        let mut taken = self.arrays.remove_entry(lhs);
+        let result = (|| {
+            let lhs_copy = match &taken {
+                Some((_, array)) if refs.iter().any(|(name, _)| *name == lhs) => {
+                    Some(array.clone())
+                }
+                _ => None,
+            };
+            let operands: Vec<(&DistArray<f64>, RegularSection)> = refs
+                .iter()
+                .map(|&(name, section)| {
+                    let array = if name == lhs {
+                        lhs_copy.as_ref()
+                    } else {
+                        self.arrays.get(name)
+                    };
+                    array
+                        .map(|array| (array, section))
+                        .ok_or_else(|| ParseError(format!("unknown array `{name}`")))
+                })
+                .collect::<Result<_, _>>()?;
+            let (_, target) = taken
+                .as_mut()
+                .ok_or_else(|| ParseError(format!("unknown array `{lhs}`")))?;
+            assign_expr(target, lhs_section, &operands, f).map_err(|e| ParseError(e.to_string()))
+        })();
+        if let Some((name, array)) = taken {
+            self.arrays.insert(name, array);
+        }
+        result
     }
 
     /// `CSHIFT A B n` — `A = CSHIFT(B, n)`.
@@ -484,24 +518,12 @@ impl Interp {
                 return err("descending operand sections are not yet supported in ASSIGN");
             }
         }
-        // Clone operands out (assign_expr snapshots anyway; this satisfies
-        // borrowck for self-references like A = A + 1).
-        let operand_arrays: Vec<DistArray<f64>> = parsed
+        let refs: Vec<(&str, RegularSection)> = parsed
             .refs
             .iter()
-            .map(|r| self.get(&r.array).cloned())
-            .collect::<Result<_, _>>()?;
-        let operands: Vec<(&DistArray<f64>, RegularSection)> = operand_arrays
-            .iter()
-            .zip(&parsed.refs)
-            .map(|(a, r)| (a, r.section))
+            .map(|r| (r.array.as_str(), r.section))
             .collect();
-        let target = self
-            .arrays
-            .get_mut(&lhs.array)
-            .ok_or_else(|| ParseError(format!("unknown array `{}`", lhs.array)))?;
-        assign_expr(target, &lhs.section, &operands, |args| parsed.eval(args))
-            .map_err(|e| ParseError(e.to_string()))
+        self.assign_named(&lhs.array, &lhs.section, &refs, |args| parsed.eval(args))
     }
 
     /// `PRINT SUM A(l:u:s)`, `PRINT TABLE A(l:u:s) m`, `PRINT STATS
@@ -678,6 +700,42 @@ mod tests {
             out[0],
             "A(0:9:1) = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]"
         );
+    }
+
+    #[test]
+    fn failed_assignments_keep_the_lhs_array() {
+        let mut interp = Interp::default();
+        let linear: Vec<f64> = (0..20).map(f64::from).collect();
+        interp
+            .arrays
+            .insert("A".into(), DistArray::from_global(2, 3, &linear).unwrap());
+        interp
+            .arrays
+            .insert("B".into(), DistArray::new(2, 4, 20, 2.0).unwrap());
+        for (line, want) in [
+            ("ASSIGN A(0:9:1) = C(0:9:1)", "unknown array `C`"),
+            ("ASSIGN A(0:9:1) = A(0:9:1) + C(0:9:1)", "unknown array `C`"),
+            ("ASSIGN A(0:29:1) = B(0:29:1)", "outside its array"),
+            ("FORALL I = 0:9 : A(I) = Z(I) + A(I)", "unknown array `Z`"),
+            ("ASSIGN Z(0:9:1) = A(0:9:1)", "unknown array `Z`"),
+        ] {
+            let e = interp.exec(line).unwrap_err();
+            assert!(e.0.contains(want), "{line}: {e}");
+            assert_eq!(
+                interp.array("A").map(|a| a.to_global()),
+                Some(linear.clone())
+            );
+        }
+        // The operand naming the LHS reads a snapshot of it.
+        interp
+            .exec("ASSIGN A(1:10:1) = A(0:9:1) + B(0:9:1)")
+            .unwrap();
+        let got = interp.array("A").unwrap().to_global();
+        let want: Vec<f64> = (0..20)
+            .map(|i| if (1..=10).contains(&i) { i + 1 } else { i })
+            .map(f64::from)
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! * [`machine`] — SPMD launch: one thread per simulated node, each with
 //!   exclusive local memory, plus the per-node timing discipline
 //!   ("maximum over all processors") the paper reports;
-//! * [`pool`] — the resident worker pool behind every launch: `p`
-//!   persistent node threads, a reusable fabric, and per-node buffer
-//!   arenas;
+//! * [`pool`] — the resident worker pool behind every launch: the
+//!   dispatching thread runs node 0, `p − 1` persistent threads run the
+//!   rest, over a reusable fabric with per-node buffer arenas;
 //! * [`transport`] — the fabric those node threads exchange envelopes
 //!   over: lock-free shared-memory SPSC rings carrying boxed buffers
 //!   ([`TransportKind::Shm`]) or the serialized wire format
@@ -61,10 +61,10 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the worker pool's job channel needs two
+// `deny` rather than `forbid`: the worker pool's epoch slot needs two
 // audited `#[allow(unsafe_code)]` sites in [`pool`] (lifetime erasure of
-// the dispatched body, guarded by the epoch barrier), its worker pinning
-// two C-library affinity calls, and the
+// the dispatched body and its call on a worker, guarded by the epoch
+// barrier), its worker pinning two C-library affinity calls, and the
 // shared-memory fabric's SPSC ring slots in [`transport::ring`] need raw
 // shared mutability under the single-producer/single-consumer contract.
 // Everything else in the crate remains safe code.

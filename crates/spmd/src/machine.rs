@@ -8,8 +8,9 @@
 //! measurement discipline.
 //!
 //! Node programs run on the resident worker pool ([`crate::pool`]):
-//! the `p` node threads boot once per process and every subsequent
-//! launch is a dispatch, not a spawn.
+//! the launching thread runs node 0, the other `p − 1` node threads
+//! boot once per process, and every subsequent launch is a dispatch,
+//! not a spawn.
 
 use std::sync::Mutex;
 use std::time::Duration;

@@ -1,5 +1,5 @@
 //! Resident SPMD worker pool: persistent node threads, a reusable
-//! channel fabric, and per-node buffer arenas.
+//! ring fabric, and per-node buffer arenas.
 //!
 //! The simulated machine historically paid a full `thread::scope`
 //! spawn/join of `p` OS threads on every [`crate::Machine::run`] and
@@ -7,39 +7,54 @@
 //! many-statement workloads whose *planning* cost the schedule cache
 //! already removed, that per-statement *launch* cost dominates. The pool
 //! makes the runtime behave like the paper's iPSC/860: nodes boot once,
-//! statements stream through them.
+//! statements stream through them, and every processor runs the node
+//! program — none sits idle to dispatch.
 //!
 //! Architecture:
 //!
-//! - **Workers** — `p` detached threads named `node-<m>`, created once per
-//!   (machine size, transport) by [`global`] (or eagerly by [`warm`]) and
-//!   resident for the process lifetime. The thread name doubles as the
-//!   trace-lane label, so counters recorded on a worker aggregate on one
-//!   persistent `node-<m>` lane. When the machine has exactly one node
-//!   per CPU the process may use, worker `m` is pinned to the `m`-th of
-//!   those CPUs, so no epoch runs two nodes on one CPU while another
-//!   idles.
+//! - **Node 0 is the caller** — the thread that dispatches an epoch runs
+//!   node 0's body itself. Node 0's [`NodeCtx`] (ring endpoint and
+//!   arena) lives in the pool behind the epoch gate, so holding the gate
+//!   means owning node 0's context. While it runs node 0, the caller's
+//!   trace recording is lent to a `node-0` lane
+//!   ([`bcag_trace::lane_as`]); the dispatch's own spans stay on the
+//!   caller's lane.
+//! - **Workers** — `p − 1` detached threads named `node-<m>` for nodes
+//!   `1..p`, created once per (machine size, transport) by [`global`]
+//!   (or eagerly by [`warm`]) and resident until the pool drops. The
+//!   thread name doubles as the trace-lane label, so counters recorded
+//!   on a worker aggregate on one persistent `node-<m>` lane. When the
+//!   machine has exactly one node per CPU the process may use, worker
+//!   `m` is pinned to the `m`-th of those CPUs; the caller is never
+//!   pinned.
 //! - **Fabric** — each node owns an endpoint on the pool's lock-free
-//!   SPSC ring fabric ([`crate::transport::ring`]); node jobs exchange
+//!   SPSC ring fabric ([`crate::transport::ring`]); node bodies exchange
 //!   [`Envelope`]s (type-erased boxed payloads, or wire-encoded bytes
 //!   under [`TransportKind::Proc`]) without creating channels per call.
 //! - **Arena** — each node owns a [`BufferArena`] recycling pack/unpack
 //!   `Vec` allocations across statements; steady-state batched execution
 //!   allocates nothing once buffers reach their high-water mark.
-//! - **Dispatch / epoch barrier** — [`Pool::dispatch`] ships a borrowed
-//!   `&dyn Fn(usize, &mut NodeCtx)` to every worker as a raw-pointer job
-//!   and blocks on an ack channel until all `p` jobs complete (one
-//!   *epoch*). The barrier is also an unwind guard: the borrow cannot
-//!   escape the dispatching frame while any job might still use it.
-//! - **Poison protocol** — a panicking node job broadcasts a [`Poison`]
-//!   envelope to its peers before acknowledging, so nodes blocked in
-//!   [`NodeCtx::recv`] fail fast with a clear message instead of hanging
-//!   a counted receive loop. After the epoch completes the dispatcher
-//!   drains every inbox and re-raises the original panic; the pool
+//! - **Dispatch / epoch slot** — [`Pool::dispatch`] publishes a borrowed
+//!   `&dyn Fn(usize, &mut NodeCtx)` on the pool's one epoch slot (a
+//!   generation counter, the body pointer, a count of workers still
+//!   running, the epoch's panic), runs node 0, and waits until the count
+//!   reaches zero (one *epoch*). Workers wait for the next generation,
+//!   and the caller for the count, on the ring's spin → yield → park
+//!   ladder ([`ring::wait`]), so a worker still spinning or yielding
+//!   picks up the next statement without a futex wake-up, and an idle
+//!   worker parks with no timeout. A steady-state dispatch allocates
+//!   nothing. The wait is also an unwind guard: the borrow cannot
+//!   escape the dispatching frame while any worker might still use it.
+//! - **Poison protocol** — a panicking node (the caller's node 0
+//!   included) broadcasts a [`Poison`] envelope to its peers before it
+//!   counts itself out, so nodes blocked in [`NodeCtx::recv`] fail fast
+//!   with a clear message instead of hanging a counted receive loop.
+//!   After the epoch completes the dispatcher drains every inbox and
+//!   re-raises the original panic, not a peer's poison panic; the pool
 //!   itself stays usable.
 //!
 //! [`launch_with`] is the single entry point, and it routes through the
-//! resident pool. Two cases cannot: a launch from inside a pool worker
+//! resident pool. Two cases cannot: a launch from inside a node body
 //! (the busy pool would deadlock on its own gate) runs on a private
 //! per-call `thread::scope` with a fresh fabric and the same poison
 //! protocol, and inside a `bcag spmd` node process bodies run inline.
@@ -47,8 +62,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use bcag_core::error::Result;
@@ -56,7 +70,7 @@ use bcag_core::method::Method;
 use bcag_core::params::Problem;
 use bcag_core::pattern::AccessPattern;
 
-use crate::transport::ring::{self, Endpoint};
+use crate::transport::ring::{self, Endpoint, Latch};
 use crate::transport::{self, BarrierArrive, BarrierRelease, Poison, TransportKind};
 
 pub use crate::transport::Envelope;
@@ -188,6 +202,9 @@ pub struct NodeCtx {
     kind: TransportKind,
     link: Endpoint,
     arena: BufferArena,
+    /// Set when [`NodeCtx::recv`] met a peer's poison, so the panic that
+    /// follows is known to be a consequence, not the original failure.
+    poisoned: bool,
 }
 
 impl NodeCtx {
@@ -197,6 +214,7 @@ impl NodeCtx {
             kind,
             link,
             arena: BufferArena::default(),
+            poisoned: false,
         }
     }
 
@@ -232,6 +250,7 @@ impl NodeCtx {
     pub fn recv(&mut self) -> Envelope {
         let env = self.link.recv();
         if env.is::<Poison>() {
+            self.poisoned = true;
             panic!(
                 "spmd node {}: a peer node job panicked mid-exchange",
                 self.m
@@ -291,6 +310,20 @@ impl NodeCtx {
         while self.link.try_recv().is_some() {}
     }
 
+    /// Runs this node's share of an epoch. A panicking body poisons the
+    /// node's peers and comes back as the caught panic.
+    fn run_caught(&mut self, body: &(dyn Fn(usize, &mut NodeCtx) + Sync)) -> Option<Caught> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| body(self.m, self)));
+        let from_poison = std::mem::take(&mut self.poisoned);
+        outcome.err().map(|payload| {
+            self.poison_peers();
+            Caught {
+                payload,
+                from_poison,
+            }
+        })
+    }
+
     /// Broadcasts poison to every other node. Best-effort with a bounded
     /// retry: a peer blocked in `recv` keeps draining its rings, so a
     /// full ring clears quickly, but a peer whose body already returned
@@ -317,18 +350,20 @@ impl NodeCtx {
     }
 }
 
-/// A unit of work shipped to one worker.
-type Job = Box<dyn FnOnce(&mut NodeCtx) + Send>;
-
-/// A resident pool of `p` node workers. Obtain one via [`global`]; all
-/// launches for a given (machine size, transport) share it.
+/// A resident pool of `p` nodes: node 0 runs on whichever thread
+/// dispatches, nodes `1..p` on resident workers. Obtain one via
+/// [`global`]; all launches for a given (machine size, transport) share
+/// it.
 pub struct Pool {
     p: usize,
     kind: TransportKind,
-    workers: Vec<Sender<Job>>,
-    /// Serializes dispatches: interleaving jobs from two epochs on
-    /// shared workers could deadlock nodes that exchange data.
-    gate: Mutex<()>,
+    /// The epoch slot shared with the workers.
+    slot: Arc<EpochSlot>,
+    /// Node 0's context behind the epoch gate, which serializes
+    /// dispatches: interleaving two epochs on shared workers could
+    /// deadlock nodes that exchange data, and holding the gate means
+    /// owning node 0.
+    gate: Mutex<NodeCtx>,
     /// [`POOL_TICK`] stamp of the last registry hit or dispatch — the
     /// recency signal admission control's LRU eviction scans.
     last_used: AtomicU64,
@@ -338,71 +373,175 @@ thread_local! {
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// True on pool worker threads. Nested launches from inside a node body
-/// fall back to a private thread scope — dispatching to the (busy) pool
-/// from one of its own workers would deadlock on the gate.
+/// True while the current thread runs a node body of a pool epoch: on a
+/// worker, and on a dispatching thread while it runs node 0. A nested
+/// launch from inside a node body falls back to a private thread scope —
+/// dispatching to the (busy) pool from inside its own epoch would
+/// deadlock on the gate.
 pub fn in_worker() -> bool {
     IN_WORKER.with(|f| f.get())
 }
 
-/// Borrowed node body, erased to a raw pointer so the `'static` [`Job`]
-/// channel can carry it. Soundness: the dispatching frame blocks in
-/// [`EpochBarrier`] until every job holding a copy has acknowledged, so
-/// the pointee strictly outlives every dereference.
+/// Borrowed node body, erased to a raw pointer so the pool's `'static`
+/// epoch slot can carry it. Soundness: the dispatching frame blocks in
+/// [`EpochBarrier`] until every worker has counted itself out of the
+/// epoch, so the pointee strictly outlives every dereference.
 #[derive(Clone, Copy)]
 struct BodyPtr(*const (dyn Fn(usize, &mut NodeCtx) + Sync));
 
 // SAFETY: the pointee is `Sync` (shared calls from many threads are
-// fine) and the epoch barrier keeps it alive for the job's lifetime.
+// fine) and the epoch barrier keeps it alive while any worker runs it.
 #[allow(unsafe_code)]
 unsafe impl Send for BodyPtr {}
 
-/// Completion barrier for one dispatch epoch; doubles as an unwind
-/// guard — its `Drop` blocks until every shipped job has acknowledged,
-/// so a borrowed body can never dangle while a worker might call it.
-struct EpochBarrier {
-    ack_rx: Receiver<Option<Box<dyn Any + Send>>>,
-    outstanding: usize,
+/// A node body's panic, and whether it was the node failing on a peer's
+/// poison rather than failing first.
+struct Caught {
+    payload: Box<dyn Any + Send>,
+    from_poison: bool,
 }
 
-impl EpochBarrier {
-    /// Blocks until every outstanding job acknowledges; returns the
-    /// first panic payload observed, if any.
-    fn wait(&mut self) -> Option<Box<dyn Any + Send>> {
-        let mut first = None;
-        while self.outstanding > 0 {
-            match self.ack_rx.recv() {
-                Ok(payload) => {
-                    self.outstanding -= 1;
-                    if first.is_none() {
-                        first = payload;
-                    }
-                }
-                // All ack senders dropped: no job can still reference
-                // the dispatched body.
-                Err(_) => self.outstanding = 0,
+/// The panic an epoch re-raises: the first original one, or — only when
+/// every panicking node failed on a peer's poison — the first of those.
+#[derive(Default)]
+struct FirstPanic(Option<Caught>);
+
+impl FirstPanic {
+    fn offer(&mut self, caught: Caught) {
+        let replaces = match &self.0 {
+            None => true,
+            Some(held) => held.from_poison && !caught.from_poison,
+        };
+        if replaces {
+            self.0 = Some(caught);
+        }
+    }
+
+    fn take(&mut self) -> Option<Box<dyn Any + Send>> {
+        self.0.take().map(|c| c.payload)
+    }
+}
+
+/// The one epoch slot of a pool, reused for the pool's life. The
+/// dispatcher publishes an epoch by storing the body and bumping
+/// `generation`; each worker runs every generation once and counts
+/// itself out of `remaining`.
+struct EpochSlot {
+    /// Epochs published so far; a worker waits for it to move past the
+    /// last one it ran.
+    generation: AtomicU64,
+    /// The running epoch's body; stored before `generation` moves.
+    body: Mutex<Option<BodyPtr>>,
+    /// Workers still running the current epoch.
+    remaining: AtomicUsize,
+    /// The panic the current epoch will re-raise, if any.
+    panic: Mutex<FirstPanic>,
+    /// Set when the pool drops: workers exit instead of waiting.
+    shutdown: AtomicBool,
+    /// Spin-phase length of every wait on this slot
+    /// ([`ring::spin_sweeps`]).
+    spin: u32,
+    /// One wake-up latch per worker, node `m` at `m − 1`.
+    wake: Vec<Latch>,
+    /// The dispatcher's latch, notified by the worker that takes
+    /// `remaining` to zero.
+    done: Latch,
+}
+
+impl EpochSlot {
+    /// Worker `m`'s resident loop: wait for an epoch, run it, count out,
+    /// until the pool drops.
+    fn serve(&self, mut ctx: NodeCtx) {
+        IN_WORKER.with(|f| f.set(true));
+        let mut ran = 0;
+        while let Some(gen) = self.next_epoch(ctx.m, ran) {
+            ran = gen;
+            let body = lock_clean(&self.body).expect("a published epoch has a body");
+            // SAFETY: the dispatcher's `EpochBarrier` blocks until this
+            // worker counts itself out below, so the pointee outlives
+            // this call.
+            #[allow(unsafe_code)]
+            let caught = ctx.run_caught(unsafe { &*body.0 });
+            if let Some(caught) = caught {
+                lock_clean(&self.panic).offer(caught);
+            }
+            // Release: the body's effects and any recorded panic reach
+            // the dispatcher's Acquire load of a zero count.
+            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.done.notify();
             }
         }
-        first
+    }
+
+    /// Waits on worker `m`'s latch for an epoch after generation `ran`;
+    /// `None` once the pool has dropped.
+    fn next_epoch(&self, m: usize, ran: u64) -> Option<u64> {
+        let (next, _) = ring::wait(self.spin, &self.wake[m - 1], None, || {
+            if self.shutdown.load(Ordering::Acquire) {
+                return Some(None);
+            }
+            let gen = self.generation.load(Ordering::Acquire);
+            (gen != ran).then_some(Some(gen))
+        });
+        next
     }
 }
 
-impl Drop for EpochBarrier {
+/// One published epoch. Dropping it blocks until every worker has
+/// counted itself out, so it doubles as the unwind guard: a borrowed
+/// body can never dangle while a worker might call it.
+struct EpochBarrier<'a> {
+    slot: &'a EpochSlot,
+}
+
+impl<'a> EpochBarrier<'a> {
+    /// Publishes `body` to every worker.
+    fn publish(slot: &'a EpochSlot, body: &(dyn Fn(usize, &mut NodeCtx) + Sync)) -> Self {
+        if !slot.wake.is_empty() {
+            // SAFETY (lifetime erasure): a plain `as` cast cannot widen
+            // the trait-object lifetime to the pointer's `'static`
+            // default, so the fat pointer is transmuted instead. Workers
+            // dereference it only before counting themselves out, and
+            // this barrier's drop waits for that.
+            #[allow(unsafe_code)]
+            let ptr = BodyPtr(unsafe {
+                std::mem::transmute::<
+                    &(dyn Fn(usize, &mut NodeCtx) + Sync),
+                    *const (dyn Fn(usize, &mut NodeCtx) + Sync),
+                >(body)
+            });
+            *lock_clean(&slot.body) = Some(ptr);
+            // The Release bump publishes the count (and the body) to the
+            // workers' Acquire loads of `generation`.
+            slot.remaining.store(slot.wake.len(), Ordering::Relaxed);
+            slot.generation.fetch_add(1, Ordering::Release);
+            for latch in &slot.wake {
+                latch.notify();
+            }
+        }
+        EpochBarrier { slot }
+    }
+}
+
+impl Drop for EpochBarrier<'_> {
     fn drop(&mut self) {
-        let _ = self.wait();
+        let slot = self.slot;
+        ring::wait(slot.spin, &slot.done, None, || {
+            (slot.remaining.load(Ordering::Acquire) == 0).then_some(())
+        });
     }
 }
 
-/// The CPU each worker of a `p`-node pool is pinned to: with exactly
-/// one node per CPU this process may use (and more than one node), node
-/// `m` gets the `m`-th such CPU; any other size floats. Left to the OS,
-/// the dispatcher wakes the workers back to back while it still holds a
-/// CPU, and the scheduler often queued the second worker behind the
-/// first while the other CPU idled: on a 2-vCPU host both workers of a
-/// `p = 2` epoch started on one CPU in 26–57% of epochs, a share that
-/// changed from run to run, and the epoch's latency with it. Pinning
-/// only a subset of the CPUs, or several nodes per CPU, would instead
-/// pile load where the OS cannot move it.
+/// The CPUs the nodes of a `p`-node pool map to: with exactly one node
+/// per CPU this process may use (and more than one node), node `m` maps
+/// to the `m`-th such CPU and worker `m ≥ 1` is pinned there; node 0
+/// runs on the dispatching thread, which is never pinned. Any other size
+/// floats. Left to the OS, the scheduler often queued two nodes of an
+/// epoch on one CPU while the other idled: on a 2-vCPU host both
+/// workers of a `p = 2` epoch started on one CPU in 26–57% of epochs, a
+/// share that changed from run to run, and the epoch's latency with it.
+/// Pinning only a subset of the CPUs, or several nodes per CPU, would
+/// instead pile load where the OS cannot move it.
 fn worker_cpus(p: usize) -> Option<Vec<usize>> {
     let cpus = affinity::allowed();
     (p > 1 && cpus.len() == p).then_some(cpus)
@@ -463,18 +602,28 @@ mod affinity {
 }
 
 impl Pool {
-    /// Boots `p` resident workers on a fresh ring fabric carrying the
-    /// given payload form.
+    /// Boots the `p − 1` resident workers of a `p`-node pool on a fresh
+    /// ring fabric carrying the given payload form; node 0's context
+    /// stays with the pool for whichever thread dispatches.
     fn new(p: usize, kind: TransportKind) -> Pool {
         assert!(p >= 1, "machine needs at least one node");
-        let endpoints = ring::fabric(p);
+        let mut links = ring::fabric(p).into_iter();
+        let node0 = NodeCtx::new(0, kind, links.next().expect("node 0's endpoint"));
+        let slot = Arc::new(EpochSlot {
+            generation: AtomicU64::new(0),
+            body: Mutex::new(None),
+            remaining: AtomicUsize::new(0),
+            panic: Mutex::new(FirstPanic::default()),
+            shutdown: AtomicBool::new(false),
+            spin: ring::spin_sweeps(p),
+            wake: (1..p).map(|_| Latch::new()).collect(),
+            done: Latch::new(),
+        });
         let cpus = worker_cpus(p);
-        let mut workers = Vec::with_capacity(p);
-        for (m, link) in endpoints.into_iter().enumerate() {
-            let (jtx, jrx) = channel::<Job>();
-            workers.push(jtx);
-            let mut ctx = NodeCtx::new(m, kind, link);
+        for (m, link) in (1..).zip(links) {
+            let ctx = NodeCtx::new(m, kind, link);
             let cpu = cpus.as_ref().map(|cpus| cpus[m]);
+            let slot = Arc::clone(&slot);
             std::thread::Builder::new()
                 // The thread name is the default trace-lane label, so
                 // pooled counters land on `node-<m>` lanes.
@@ -483,18 +632,15 @@ impl Pool {
                     if let Some(cpu) = cpu {
                         affinity::pin(cpu);
                     }
-                    IN_WORKER.with(|f| f.set(true));
-                    while let Ok(job) = jrx.recv() {
-                        job(&mut ctx);
-                    }
+                    slot.serve(ctx);
                 })
                 .expect("spawn pool worker");
         }
         Pool {
             p,
             kind,
-            workers,
-            gate: Mutex::new(()),
+            slot,
+            gate: Mutex::new(node0),
             last_used: AtomicU64::new(0),
         }
     }
@@ -527,9 +673,10 @@ impl Pool {
         self.kind
     }
 
-    /// Runs `body(m, ctx)` once on every node and blocks until all have
-    /// finished (one epoch). If any node job panicked, drains the fabric
-    /// and re-raises the first panic; the pool remains usable.
+    /// Runs `body(m, ctx)` once on every node — node 0 on the calling
+    /// thread — and blocks until all have finished (one epoch). If any
+    /// node panicked, drains the fabric and re-raises the original
+    /// panic; the pool remains usable.
     pub fn dispatch(&self, body: &(dyn Fn(usize, &mut NodeCtx) + Sync)) {
         use std::sync::atomic::{AtomicU64, Ordering};
         static INFLIGHT: AtomicU64 = AtomicU64::new(0);
@@ -552,66 +699,49 @@ impl Pool {
             DepthGuard
         });
         self.touch();
-        let _gate = lock_clean(&self.gate);
-        if let Some(payload) = self.run_epoch(body) {
-            // Jobs stopped mid-protocol: stray data and poison envelopes
+        let mut node0 = lock_clean(&self.gate);
+        if let Some(payload) = self.run_epoch(&mut node0, body) {
+            // Nodes stopped mid-protocol: stray data and poison envelopes
             // may still sit in inboxes. Scrub before releasing the gate
             // so the next dispatch starts clean.
-            let _ = self.run_epoch(&|_, ctx| ctx.drain_inbox());
+            let _ = self.run_epoch(&mut node0, &|_, ctx| ctx.drain_inbox());
+            drop(node0);
             resume_unwind(payload);
         }
     }
 
-    /// Ships one job per worker and waits out the epoch, returning the
-    /// first panic payload if any job panicked.
+    /// Publishes one epoch to the workers, runs node 0 on the calling
+    /// thread, and waits out the epoch, returning the panic to re-raise
+    /// if any node panicked.
     fn run_epoch(
         &self,
+        node0: &mut NodeCtx,
         body: &(dyn Fn(usize, &mut NodeCtx) + Sync),
     ) -> Option<Box<dyn Any + Send>> {
-        // SAFETY (lifetime erasure): a plain `as` cast cannot widen the
-        // trait-object lifetime to the pointer's `'static` default, so
-        // the fat pointer is transmuted instead. The pointer is only
-        // dereferenced inside a job, strictly before that job's ack.
-        #[allow(unsafe_code)]
-        let ptr = BodyPtr(unsafe {
-            std::mem::transmute::<
-                &(dyn Fn(usize, &mut NodeCtx) + Sync),
-                *const (dyn Fn(usize, &mut NodeCtx) + Sync),
-            >(body)
-        });
-        let (ack_tx, ack_rx) = channel();
-        let mut barrier = EpochBarrier {
-            ack_rx,
-            outstanding: 0,
+        let epoch = EpochBarrier::publish(&self.slot, body);
+        let caught = {
+            let _lane = bcag_trace::lane_as("node-0");
+            let was_in_worker = IN_WORKER.with(|f| f.replace(true));
+            let caught = node0.run_caught(body);
+            IN_WORKER.with(|f| f.set(was_in_worker));
+            caught
         };
-        for (m, worker) in self.workers.iter().enumerate() {
-            let ack = ack_tx.clone();
-            let job: Job = Box::new(move |ctx| {
-                // Capture the whole `BodyPtr` (which is `Send`), not the
-                // disjoint raw-pointer field (which is not).
-                let ptr = ptr;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    // SAFETY: the dispatching frame is blocked in the
-                    // epoch barrier until this job's ack below, so the
-                    // pointee outlives this call.
-                    #[allow(unsafe_code)]
-                    let body = unsafe { &*ptr.0 };
-                    body(m, ctx)
-                }));
-                let payload = match outcome {
-                    Ok(()) => None,
-                    Err(payload) => {
-                        ctx.poison_peers();
-                        Some(payload)
-                    }
-                };
-                let _ = ack.send(payload);
-            });
-            worker.send(job).expect("pool worker thread alive");
-            barrier.outstanding += 1;
+        drop(epoch);
+        let mut panic = lock_clean(&self.slot.panic);
+        if let Some(caught) = caught {
+            panic.offer(caught);
         }
-        drop(ack_tx);
-        barrier.wait()
+        panic.take()
+    }
+}
+
+impl Drop for Pool {
+    /// Ends the workers: they see the shutdown flag at their next wake.
+    fn drop(&mut self) {
+        self.slot.shutdown.store(true, Ordering::Release);
+        for latch in &self.slot.wake {
+            latch.notify();
+        }
     }
 }
 
@@ -771,9 +901,9 @@ pub fn warm(p: i64) {
 /// Runs `body(m, ctx)` on every node of a `p`-node machine and blocks
 /// until all finish, on the resident pool for `(p, kind)`.
 ///
-/// A launch from inside a pool worker cannot dispatch to the (busy)
-/// pool, so it spawns a private `thread::scope` with a fresh fabric and
-/// arenas instead. Inside an `spmd` node process (multi-process session
+/// A launch from inside a node body (on a worker, or on a caller
+/// running node 0) cannot dispatch to the (busy) pool, so it spawns a
+/// private `thread::scope` with a fresh fabric and arenas instead. Inside an `spmd` node process (multi-process session
 /// installed), the process *is* one node: bodies run inline on the
 /// calling thread for every node index, against a loopback fabric.
 /// Node-to-node data never reaches this path there — the statement
@@ -805,25 +935,21 @@ fn launch_scoped(p: usize, kind: TransportKind, body: &(dyn Fn(usize, &mut NodeC
         .collect();
     // Same poison protocol as the pooled epoch: a panicking body must
     // release peers blocked in `recv` instead of deadlocking the scope
-    // join, and the first panic is re-raised after everyone returns.
-    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    // join, and the original panic is re-raised after everyone returns.
+    let first_panic: Mutex<FirstPanic> = Mutex::new(FirstPanic::default());
     std::thread::scope(|scope| {
         for ctx in ctxs.iter_mut() {
             let first_panic = &first_panic;
             scope.spawn(move || {
                 let _lane = bcag_trace::enabled()
                     .then(|| bcag_trace::set_lane_label(&format!("node-{}", ctx.m)));
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(ctx.m, ctx))) {
-                    ctx.poison_peers();
-                    let mut slot = lock_clean(first_panic);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
+                if let Some(caught) = ctx.run_caught(body) {
+                    lock_clean(first_panic).offer(caught);
                 }
             });
         }
     });
-    if let Some(payload) = into_clean(first_panic) {
+    if let Some(payload) = into_clean(first_panic).take() {
         resume_unwind(payload);
     }
 }
@@ -897,8 +1023,174 @@ mod tests {
         let pool = Pool::new(cpus.len(), TransportKind::Shm);
         let seen: Vec<Mutex<Vec<usize>>> = cpus.iter().map(|_| Mutex::new(Vec::new())).collect();
         pool.dispatch(&|m, _ctx| *lock_clean(&seen[m]) = affinity::allowed());
-        for (m, &cpu) in cpus.iter().enumerate() {
+        // Node 0 is the caller, which the pool never pins.
+        assert_eq!(*lock_clean(&seen[0]), cpus, "node 0");
+        for (m, &cpu) in cpus.iter().enumerate().skip(1) {
             assert_eq!(*lock_clean(&seen[m]), vec![cpu], "node {m}");
+        }
+    }
+
+    #[test]
+    fn node_0_runs_on_the_dispatching_thread() {
+        let pool = Pool::new(4, TransportKind::Shm);
+        assert_eq!(Arc::strong_count(&pool.slot), 4, "p - 1 workers");
+        let caller = std::thread::current().id();
+        type Seen = Option<(std::thread::ThreadId, Option<String>)>;
+        let seen: Vec<Mutex<Seen>> = (0..4).map(|_| Mutex::new(None)).collect();
+        for _ in 0..3 {
+            pool.dispatch(&|m, _ctx| {
+                let me = std::thread::current();
+                *lock_clean(&seen[m]) = Some((me.id(), me.name().map(str::to_string)));
+            });
+            let ids: Vec<_> = seen
+                .iter()
+                .map(|s| lock_clean(s).clone().unwrap())
+                .collect();
+            assert_eq!(ids[0].0, caller, "node 0 runs on the caller");
+            for (m, (id, name)) in ids.iter().enumerate().skip(1) {
+                assert_ne!(*id, caller, "node {m}");
+                assert_eq!(name.as_deref(), Some(format!("node-{m}").as_str()));
+            }
+        }
+        assert!(!in_worker(), "the caller's mark is restored");
+        let single = Pool::new(1, TransportKind::Shm);
+        assert_eq!(
+            Arc::strong_count(&single.slot),
+            1,
+            "a 1-node pool spawns no worker"
+        );
+        let ran = Mutex::new(None);
+        single.dispatch(&|m, ctx| *lock_clean(&ran) = Some((m, ctx.p(), in_worker())));
+        assert_eq!(into_clean(ran), Some((0, 1, true)));
+    }
+
+    /// The message a caught panic payload carries.
+    fn message(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// Every node's fabric is clean on the next dispatch.
+    fn assert_fabric_clean(pool: &Pool) {
+        let clean: Vec<Mutex<bool>> = (0..pool.p()).map(|_| Mutex::new(false)).collect();
+        pool.dispatch(&|m, ctx| *lock_clean(&clean[m]) = ctx.fabric_is_clean());
+        for (m, slot) in clean.iter().enumerate() {
+            assert!(*lock_clean(slot), "node {m} inbox drained after panic");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_poisons_its_peers() {
+        let pool = Pool::new(3, TransportKind::Shm);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            pool.dispatch(&|m, ctx| match m {
+                0 => panic!("node 0 exploded"),
+                // Blocked on data that never comes: node 0's poison must
+                // release it.
+                1 => drop(ctx.recv()),
+                _ => {}
+            });
+        }))
+        .expect_err("dispatch re-raises node 0's panic");
+        assert_eq!(message(&*err), "node 0 exploded");
+        assert_fabric_clean(&pool);
+        let sum = AtomicUsize::new(0);
+        pool.dispatch(&|m, _ctx| {
+            sum.fetch_add(m, Ordering::Relaxed);
+        });
+        assert_eq!(sum.into_inner(), 3, "the next dispatch works");
+    }
+
+    #[test]
+    fn a_worker_panic_is_reraised_over_the_callers_poison_panic() {
+        let pool = Pool::new(3, TransportKind::Shm);
+        for _ in 0..20 {
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                pool.dispatch(&|m, ctx| match m {
+                    1 => panic!("node 1 exploded"),
+                    // The caller and node 2 block; node 1's poison
+                    // releases each with a panic of its own, which node
+                    // 2 may record before node 1 does.
+                    _ => drop(ctx.recv()),
+                });
+            }))
+            .expect_err("dispatch re-raises node 1's panic");
+            assert_eq!(message(&*err), "node 1 exploded");
+            assert_fabric_clean(&pool);
+        }
+    }
+
+    /// `voluntary_ctxt_switches` of a thread of this process.
+    #[cfg(target_os = "linux")]
+    fn voluntary_switches(task: &std::path::Path) -> u64 {
+        let status = std::fs::read_to_string(task.join("status")).expect("task status");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("voluntary_ctxt_switches line")
+    }
+
+    /// Whether a thread of this process is asleep (`S` in its stat).
+    #[cfg(target_os = "linux")]
+    fn sleeping(task: &std::path::Path) -> bool {
+        let stat = std::fs::read_to_string(task.join("stat")).expect("task stat");
+        // The state follows the parenthesized command name.
+        stat.rsplit_once(") ")
+            .is_some_and(|(_, rest)| rest.starts_with('S'))
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn an_idle_pool_does_not_poll() {
+        let pool = Pool::new(3, TransportKind::Shm);
+        let tasks: Vec<Mutex<Option<std::path::PathBuf>>> =
+            (0..3).map(|_| Mutex::new(None)).collect();
+        pool.dispatch(&|m, _ctx| {
+            // The link reads `<pid>/task/<tid>`, relative to `/proc`.
+            *lock_clean(&tasks[m]) = std::fs::read_link("/proc/thread-self")
+                .ok()
+                .map(|task| std::path::Path::new("/proc").join(task));
+        });
+        let workers: Vec<std::path::PathBuf> = tasks[1..]
+            .iter()
+            .map(|t| lock_clean(t).clone().expect("/proc/thread-self resolves"))
+            .collect();
+        // Past the ladder: every worker is asleep, not spinning or
+        // yielding (a loaded test host can stretch the yield phase).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !workers.iter().all(|w| sleeping(w)) {
+            assert!(std::time::Instant::now() < deadline, "workers never park");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let before: Vec<u64> = workers.iter().map(|w| voluntary_switches(w)).collect();
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        for (w, was) in workers.iter().zip(before) {
+            let now = voluntary_switches(w);
+            assert!(
+                now - was <= 1,
+                "{}: {was} -> {now} wake-ups while idle",
+                w.display()
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_the_last_arc_ends_the_workers() {
+        let pool = Arc::new(Pool::new(3, TransportKind::Shm));
+        pool.dispatch(&|_, _| {});
+        let slot = Arc::downgrade(&pool.slot);
+        drop(pool);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        while slot.upgrade().is_some() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "workers outlive their pool"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
 
@@ -1101,7 +1393,7 @@ mod tests {
             .iter()
             .map(|&p| Arc::new(Pool::new(p, TransportKind::Shm)))
             .collect();
-        let busy: Vec<MutexGuard<'_, ()>> =
+        let busy: Vec<MutexGuard<'_, NodeCtx>> =
             held.iter().map(|pool| lock_clean(&pool.gate)).collect();
         for pool in &held {
             pool.touch();

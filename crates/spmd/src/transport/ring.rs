@@ -7,13 +7,14 @@
 //! side only by dst's endpoint, so a `head`/`tail` pair of atomics with
 //! acquire/release ordering is sufficient — no locks, no CAS on the hot
 //! path. A full ring makes the producer busy-wait (counted as
-//! `ring_full_spins`); an empty sweep makes the consumer spin, then
-//! yield, and then park (`std::thread::park_timeout`, counted as
-//! `transport_park_ns`), to be unparked by the next producer that
-//! publishes to it. A ring can fill, so a node must never send more
-//! envelopes to one peer than the ring holds before it receives: fused
-//! epochs bound their blocks per peer to half a ring
-//! (`fuse::MAX_BLOCKS_PER_PEER`).
+//! `ring_full_spins`); an empty sweep makes the consumer walk the
+//! spin → yield → park ladder ([`wait`], shared with the resident pool's
+//! epoch waits): it spins, then yields, and then parks on its [`Latch`]
+//! (`std::thread::park_timeout`, counted as `transport_park_ns`), to be
+//! unparked by the next producer that publishes to it. A ring can fill,
+//! so a node must never send more envelopes to one peer than the ring
+//! holds before it receives: fused epochs bound their blocks per peer to
+//! half a ring (`fuse::MAX_BLOCKS_PER_PEER`).
 //!
 //! The slot discipline deliberately assumes nothing beyond the ring
 //! storage being visible to both sides: indices are plain atomics and
@@ -44,23 +45,24 @@ use crate::pool::lock_clean;
 /// per pair) never fills a ring in steady state.
 pub(crate) const RING_CAP: usize = 64;
 
-/// Consumer-side empty sweeps over all inbound rings before parking,
-/// when there is headroom to spin against a concurrently-running
-/// producer. Without that headroom (one hardware thread, or more nodes
-/// than CPUs), spinning only steals the core a producer needs, so the
-/// consumer skips straight to the yield phase.
+/// Empty sweeps a waiter spins through before it yields (a receiver
+/// sweeps all its inbound rings; a pool waiter reads one counter), when
+/// there is headroom to spin against a concurrently-running producer.
+/// Without that headroom (one hardware thread, or more nodes than CPUs),
+/// spinning only steals the core a producer needs, so the waiter skips
+/// straight to the yield phase.
 const RECV_SPIN_SWEEPS: u32 = 256;
 
 /// Empty sweeps interleaved with `yield_now` after the spin phase and
 /// before parking: on an oversubscribed core this hands the CPU to a
-/// runnable producer at scheduler cost rather than `PARK_SLICE` latency.
+/// runnable producer at scheduler cost rather than wake-up latency.
 const RECV_YIELD_SWEEPS: u32 = 64;
 
-/// Spin-phase length for a `p`-node fabric: [`RECV_SPIN_SWEEPS`] when
-/// the host has real parallelism and a CPU for every node, zero
+/// Spin-phase length for a `p`-node fabric or pool: [`RECV_SPIN_SWEEPS`]
+/// when the host has real parallelism and a CPU for every node, zero
 /// otherwise. On a 2-vCPU host, 32 nodes with spinning receivers ran a
 /// small statement 2.2× slower than with receivers that yield at once.
-fn spin_sweeps(p: usize) -> u32 {
+pub(crate) fn spin_sweeps(p: usize) -> u32 {
     use std::sync::OnceLock;
     static CPUS: OnceLock<usize> = OnceLock::new();
     let cpus = *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
@@ -71,8 +73,8 @@ fn spin_sweeps(p: usize) -> u32 {
     }
 }
 
-/// Park slice; bounds the cost of a lost wakeup race without a lock on
-/// the producer's publish path.
+/// Longest single park of a fabric receive before it sweeps its rings
+/// again.
 const PARK_SLICE: Duration = Duration::from_micros(200);
 
 /// A fixed-capacity single-producer single-consumer ring.
@@ -149,48 +151,84 @@ impl Ring {
     }
 }
 
-/// Wakeup latch for one consumer. Producers set `pending` and unpark
-/// whatever thread is registered; the consumer registers itself, checks
-/// `pending`, and parks with a bounded timeout so a lost race costs one
-/// [`PARK_SLICE`] of latency, never a hang.
-struct Parker {
+/// Wakeup latch for one waiter. The waking side publishes its change,
+/// sets `pending` and unparks whatever thread is registered; the waiter
+/// registers itself, checks `pending`, and parks. Because `notify` reads
+/// the registration under the sleeper lock after setting `pending`, a
+/// waiter either sees `pending` or is unparked, so no wakeup is lost.
+pub(crate) struct Latch {
     pending: AtomicBool,
     sleeper: Mutex<Option<Thread>>,
 }
 
-impl Parker {
-    fn new() -> Parker {
-        Parker {
+impl Latch {
+    pub(crate) fn new() -> Latch {
+        Latch {
             pending: AtomicBool::new(false),
             sleeper: Mutex::new(None),
         }
     }
 
-    /// Producer side, after publishing to one of the consumer's rings.
-    fn notify(&self) {
+    /// Waking side, after publishing what the waiter polls for.
+    pub(crate) fn notify(&self) {
         self.pending.store(true, Ordering::SeqCst);
         if let Some(t) = lock_clean(&self.sleeper).as_ref() {
             t.unpark();
         }
     }
 
-    /// Consumer side, after [`RECV_SPIN_SWEEPS`] empty sweeps. Returns
-    /// the nanoseconds actually spent parked (0 when a notification was
+    /// Waiting side, at the bottom of the [`wait`] ladder: parks until
+    /// notified, or for at most `slice` when one is given. Returns the
+    /// nanoseconds actually spent parked (0 when a notification was
     /// already pending), timed only under tracing.
-    fn park(&self) -> u64 {
+    fn park(&self, slice: Option<Duration>) -> u64 {
         *lock_clean(&self.sleeper) = Some(std::thread::current());
         let mut parked_ns = 0;
         if !self.pending.swap(false, Ordering::SeqCst) {
+            let park = || match slice {
+                Some(slice) => std::thread::park_timeout(slice),
+                None => std::thread::park(),
+            };
             if bcag_trace::enabled() {
                 let t0 = std::time::Instant::now();
-                std::thread::park_timeout(PARK_SLICE);
+                park();
                 parked_ns = t0.elapsed().as_nanos() as u64;
             } else {
-                std::thread::park_timeout(PARK_SLICE);
+                park();
             }
         }
         *lock_clean(&self.sleeper) = None;
         parked_ns
+    }
+}
+
+/// The spin → yield → park ladder behind every blocking wait of the
+/// in-process machine: a fabric receive, a pool worker waiting for the
+/// next epoch, and a dispatcher waiting for its workers. Polls `ready`
+/// with a spin hint for `spin` sweeps, then with a `yield_now` for
+/// [`RECV_YIELD_SWEEPS`] more, then parks on `latch` between polls, for
+/// at most `slice` when one is given. Returns the value `ready` yielded
+/// and the nanoseconds spent parked (timed only under tracing).
+pub(crate) fn wait<R>(
+    spin: u32,
+    latch: &Latch,
+    slice: Option<Duration>,
+    mut ready: impl FnMut() -> Option<R>,
+) -> (R, u64) {
+    let mut parked_ns = 0u64;
+    let mut sweeps = 0u32;
+    loop {
+        if let Some(value) = ready() {
+            return (value, parked_ns);
+        }
+        sweeps = sweeps.saturating_add(1);
+        if sweeps < spin {
+            std::hint::spin_loop();
+        } else if sweeps < spin + RECV_YIELD_SWEEPS {
+            std::thread::yield_now();
+        } else {
+            parked_ns += latch.park(slice);
+        }
     }
 }
 
@@ -202,7 +240,7 @@ pub(crate) struct Fabric {
     /// Directed rings, indexed `src * p + dst`.
     rings: Vec<Ring>,
     /// One wakeup latch per consumer node.
-    parkers: Vec<Parker>,
+    latches: Vec<Latch>,
 }
 
 /// One node's handle on a [`Fabric`]: point-to-point envelope exchange
@@ -222,7 +260,7 @@ pub(crate) fn fabric(p: usize) -> Vec<Endpoint> {
         p,
         spin: spin_sweeps(p),
         rings: (0..p * p).map(|_| Ring::new(RING_CAP)).collect(),
-        parkers: (0..p).map(|_| Parker::new()).collect(),
+        latches: (0..p).map(|_| Latch::new()).collect(),
     });
     (0..p)
         .map(|m| Endpoint {
@@ -233,20 +271,23 @@ pub(crate) fn fabric(p: usize) -> Vec<Endpoint> {
         .collect()
 }
 
-impl Endpoint {
-    /// One sweep over all inbound rings, starting at the fairness cursor.
-    fn sweep(&mut self) -> Option<Envelope> {
-        let p = self.fabric.p;
+impl Fabric {
+    /// One sweep over node `m`'s inbound rings, starting at its fairness
+    /// cursor.
+    fn sweep(&self, m: usize, cursor: &mut usize) -> Option<Envelope> {
+        let p = self.p;
         for i in 0..p {
-            let src = (self.cursor + i) % p;
-            if let Some(env) = self.fabric.rings[src * p + self.m].try_pop() {
-                self.cursor = (src + 1) % p;
+            let src = (*cursor + i) % p;
+            if let Some(env) = self.rings[src * p + m].try_pop() {
+                *cursor = (src + 1) % p;
                 return Some(env);
             }
         }
         None
     }
+}
 
+impl Endpoint {
     /// The machine size `p`.
     pub(crate) fn p(&self) -> usize {
         self.fabric.p
@@ -276,7 +317,7 @@ impl Endpoint {
         if spins > 0 {
             bcag_trace::count("ring_full_spins", spins);
         }
-        self.fabric.parkers[dst].notify();
+        self.fabric.latches[dst].notify();
     }
 
     /// Best-effort non-blocking send used for teardown signalling
@@ -287,38 +328,27 @@ impl Endpoint {
             .try_push(env)
             .is_ok();
         if ok {
-            self.fabric.parkers[dst].notify();
+            self.fabric.latches[dst].notify();
         }
         ok
     }
 
     /// Blocks for the next envelope from any peer.
     pub(crate) fn recv(&mut self) -> Envelope {
-        let spin = self.fabric.spin;
-        let mut parked_ns = 0u64;
-        let mut sweeps = 0u32;
-        loop {
-            if let Some(env) = self.sweep() {
-                if parked_ns > 0 {
-                    bcag_trace::count("transport_park_ns", parked_ns);
-                    bcag_trace::record("transport_park_ns", parked_ns);
-                }
-                return env;
-            }
-            sweeps += 1;
-            if sweeps < spin {
-                std::hint::spin_loop();
-            } else if sweeps < spin + RECV_YIELD_SWEEPS {
-                std::thread::yield_now();
-            } else {
-                parked_ns += self.fabric.parkers[self.m].park();
-            }
+        let Endpoint { m, fabric, cursor } = self;
+        let (env, parked_ns) = wait(fabric.spin, &fabric.latches[*m], Some(PARK_SLICE), || {
+            fabric.sweep(*m, cursor)
+        });
+        if parked_ns > 0 {
+            bcag_trace::count("transport_park_ns", parked_ns);
+            bcag_trace::record("transport_park_ns", parked_ns);
         }
+        env
     }
 
     /// Returns a queued envelope if one is immediately available.
     pub(crate) fn try_recv(&mut self) -> Option<Envelope> {
-        self.sweep()
+        self.fabric.sweep(self.m, &mut self.cursor)
     }
 }
 

@@ -20,9 +20,11 @@
 //!   `pool_buffer_reuses`); see
 //!   `docs/ALGORITHM.md` for what each one measures.
 //! * **Lanes** — events and counters are collected per thread. The SPMD
-//!   machine runs one thread per simulated node and labels each lane
-//!   `node-<m>`, so a collected [`Trace`] contains per-node timelines,
-//!   mirroring the paper's per-processor timing discipline.
+//!   machine runs its nodes on threads whose lanes are labeled
+//!   `node-<m>`, and lends the dispatching thread to a `node-0` lane
+//!   ([`lane_as`]) while it runs node 0, so a collected [`Trace`]
+//!   contains per-node timelines, mirroring the paper's per-processor
+//!   timing discipline.
 //! * **On/off switch** — tracing is globally disabled by default. Every
 //!   recording primitive first reads one relaxed [`AtomicBool`]; when
 //!   disabled nothing else runs, so instrumented hot paths stay within
@@ -111,9 +113,30 @@ struct LaneData {
     samples: Vec<Sample>,
 }
 
+/// A lane as the current thread holds it: the generation it was
+/// registered in, and its shared data.
+type LaneRef = (u64, Arc<Mutex<LaneData>>);
+
 thread_local! {
-    /// This thread's lane for the current generation, if registered.
-    static LANE: RefCell<Option<(u64, Arc<Mutex<LaneData>>)>> = const { RefCell::new(None) };
+    /// The lane this thread records on for the current generation, if
+    /// registered: its own, or one it is lent to ([`lane_as`]).
+    static LANE: RefCell<Option<LaneRef>> = const { RefCell::new(None) };
+    /// The lanes this thread has been lent to, by label.
+    static LENT: RefCell<Vec<(String, LaneRef)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Registers a fresh, empty lane with the global sink.
+fn register_lane(label: String) -> Arc<Mutex<LaneData>> {
+    let lane = Arc::new(Mutex::new(LaneData {
+        label,
+        depth: 0,
+        events: Vec::new(),
+        counters: BTreeMap::new(),
+        histograms: BTreeMap::new(),
+        samples: Vec::new(),
+    }));
+    lock_clean(&REGISTRY).push(lane.clone());
+    lane
 }
 
 /// Runs `f` on this thread's lane for the current generation, registering
@@ -131,16 +154,7 @@ fn with_lane<R>(f: impl FnOnce(&mut LaneData) -> R) -> R {
                 .unwrap_or_else(|| {
                     format!("thread-{}", ANON_LANES.fetch_add(1, Ordering::Relaxed))
                 });
-            let lane = Arc::new(Mutex::new(LaneData {
-                label,
-                depth: 0,
-                events: Vec::new(),
-                counters: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-                samples: Vec::new(),
-            }));
-            lock_clean(&REGISTRY).push(lane.clone());
-            *slot = Some((gen, lane));
+            *slot = Some((gen, register_lane(label)));
         }
         let (_, lane) = slot.as_ref().expect("lane registered above");
         let result = f(&mut lock_clean(lane));
@@ -278,6 +292,48 @@ pub fn set_lane_label(label: &str) {
         return;
     }
     with_lane(|l| l.label = label.to_string());
+}
+
+/// RAII guard returned by [`lane_as`]; gives the thread its own lane
+/// back on drop.
+#[must_use = "the thread records on the lent lane only while the guard lives"]
+pub struct LaneLoan {
+    own: Option<Option<LaneRef>>,
+}
+
+/// Lends the current thread to the lane labeled `label` until the guard
+/// drops: everything the thread records meanwhile (spans, counters,
+/// histograms, gauges) lands on that lane, which is this thread's one
+/// lane for `label` in the session. A span opened before the loan still
+/// closes on the thread's own lane. The SPMD pool runs node 0 on the
+/// dispatching thread this way, so node 0's work aggregates on a
+/// `node-0` lane while the dispatch itself stays on the caller's lane.
+/// No-op while tracing is disabled.
+pub fn lane_as(label: &str) -> LaneLoan {
+    if !enabled() {
+        return LaneLoan { own: None };
+    }
+    let gen = GENERATION.load(Ordering::Acquire);
+    let lane = LENT.with(|lent| {
+        let mut lent = lent.borrow_mut();
+        lent.retain(|(_, (g, _))| *g == gen);
+        if let Some((_, (_, lane))) = lent.iter().find(|(l, _)| l == label) {
+            return lane.clone();
+        }
+        let lane = register_lane(label.to_string());
+        lent.push((label.to_string(), (gen, lane.clone())));
+        lane
+    });
+    let own = LANE.with(|slot| slot.replace(Some((gen, lane))));
+    LaneLoan { own: Some(own) }
+}
+
+impl Drop for LaneLoan {
+    fn drop(&mut self) {
+        if let Some(own) = self.own.take() {
+            LANE.with(|slot| *slot.borrow_mut() = own);
+        }
+    }
 }
 
 /// Adds `delta` to the named counter on the current thread's lane.
@@ -718,6 +774,51 @@ mod tests {
         assert!(inner.start_ns >= outer.start_ns);
         assert_eq!(lane.busy_ns(), outer.dur_ns);
         assert_eq!(trace.counter_total("widgets"), 5);
+    }
+
+    #[test]
+    fn lane_as_lends_the_thread_to_one_labeled_lane() {
+        let ((), trace) = capture(|| {
+            set_lane_label("caller");
+            let _dispatch = span("dispatch");
+            count("own", 1);
+            for _ in 0..2 {
+                let _loan = lane_as("node-0");
+                let _sp = span("body");
+                count("moved", 3);
+                record("wait_ns", 7);
+            }
+            count("own", 1);
+        });
+        // Both loans reuse one `node-0` lane; nothing leaks either way.
+        assert_eq!(trace.lanes.len(), 2, "{trace:?}");
+        let node0 = trace.lane("node-0").expect("lent lane exists");
+        assert_eq!(node0.counter("moved"), 6);
+        assert_eq!(node0.counter("own"), 0);
+        assert_eq!(node0.histogram("wait_ns").map(|h| h.count()), Some(2));
+        let bodies: Vec<&Event> = node0.events.iter().filter(|e| e.name == "body").collect();
+        assert_eq!(bodies.len(), 2);
+        assert!(bodies.iter().all(|e| e.depth == 0), "{bodies:?}");
+        let caller = trace.lane("caller").expect("own lane exists");
+        assert_eq!(caller.counter("own"), 2);
+        assert_eq!(caller.counter("moved"), 0);
+        let names: Vec<&str> = caller.events.iter().map(|e| e.name).collect();
+        assert_eq!(names, vec!["dispatch"]);
+        assert_eq!(trace.per_node_counter("moved"), vec![6]);
+    }
+
+    #[test]
+    fn lane_as_is_inert_while_disabled() {
+        let _guard = session_lock();
+        assert!(!enabled());
+        let loan = lane_as("node-0");
+        count("never", 1);
+        drop(loan);
+        start();
+        count("after", 1);
+        let trace = stop();
+        assert_eq!(trace.lanes.len(), 1);
+        assert!(trace.lane("node-0").is_none(), "{trace:?}");
     }
 
     #[test]

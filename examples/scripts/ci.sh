@@ -21,6 +21,12 @@ cargo build --workspace --release --offline
 echo "==> cargo test --offline"
 cargo test -q --workspace --offline
 
+# The layer ledger (the repo's benchmark) is its own crate outside the
+# workspace; its tests pin decomposition parity (images, cache deltas,
+# dispatch and fused-epoch counts) and its output checks.
+echo "==> ledger tests"
+cargo test -q --offline --manifest-path ledger/Cargo.toml
+
 echo "==> bench smoke (--quick) for every target"
 for bench in construction sorting_ablation gcd_effect codeshapes \
              tableless comm_schedule comm_throughput exec_latency \

@@ -17,13 +17,30 @@ fn have_cc() -> bool {
         .unwrap_or(false)
 }
 
+/// A scratch directory that is removed when dropped, so a failing
+/// assertion cleans up too.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Compiles `node_m<m>` plus a driver that prints every touched address,
 /// runs it, and returns the addresses.
 fn run_generated(c_code: &str, m: i64, mem_size: i64) -> Vec<i64> {
-    let dir = std::env::temp_dir().join(format!("bcag_codegen_{}_{}", std::process::id(), m));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let src_path = dir.join("node.c");
-    let bin_path = dir.join("node");
+    let dir = TempDir::new(&format!("bcag_codegen_{}_{}", std::process::id(), m));
+    let src_path = dir.0.join("node.c");
+    let bin_path = dir.0.join("node");
     let driver = format!(
         r#"
 #include <stdio.h>
