@@ -115,6 +115,51 @@ fn run_executes_a_script() {
     );
 }
 
+/// The exact `bcag run` output of every example script. Both sides of the
+/// `--procs 4` parity tests run the same interpreter, so only fixed text
+/// catches a change in what the interpreter prints.
+#[test]
+fn example_scripts_print_their_golden_output() {
+    let golden: [(&str, &[&str]); 4] = [
+        (
+            "triad",
+            &[
+                "TABLE A(4:301:9) proc 1: start=Some(5) AM=[3, 12, 15, 12, 3, 12, 3, 12]",
+                "SUM A(0:99:3) = 3009",
+                "A(0:15:3) = [6.0, 11.0, 16.0, 21.0, 26.0, 31.0]",
+                "A(0:15:3) = [6.0, 11.0, 16.0, 21.0, 26.0, 31.0]",
+            ],
+        ),
+        ("cache_loop", &["SUM A(0:99:3) = 3009"]),
+        (
+            "mixed",
+            &[
+                "SUM A(0:399:1) = 81634",
+                "A(0:30:3) = [26.0, 33.0, 40.0, 47.0, 54.0, 61.0, 68.0, 75.0, 82.0, 89.0, 96.0]",
+                "SUM B(0:399:1) = 78877.5",
+                "SUM C(0:399:1) = 105170",
+                "A(0:15:3) = [0.5, 33.0, 3.5, 47.0, 14.5, 61.0]",
+            ],
+        ),
+        (
+            "matrix",
+            &[
+                "SUM2 M(0:1:1, 0:1:1) = 202",
+                "SUM2 M(0:23:1, 0:23:1) = 552720",
+            ],
+        ),
+    ];
+    for (name, want) in golden {
+        let script = format!(
+            "{}/../../examples/scripts/{name}.hpf",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let (stdout, stderr, code) = bcag(&["run", "--file", &script]);
+        assert_eq!(code, 0, "{name}: stderr:\n{stderr}");
+        assert_eq!(stdout, want.join("\n") + "\n", "{name}");
+    }
+}
+
 #[test]
 fn unknown_flag_errors_name_the_flag() {
     // Every subcommand rejects unknown flags and names the offender.

@@ -239,14 +239,7 @@ impl Interp {
             .matrices
             .get_mut(&name)
             .ok_or_else(|| ParseError(format!("unknown rank-2 array `{name}`")))?;
-        let (rows, cols) = mat.extents();
-        for i in 0..rows {
-            for j in 0..cols {
-                mat.set(i, j, f(i, j))
-                    .map_err(|e| ParseError(e.to_string()))?;
-            }
-        }
-        Ok(())
+        mat.fill_with(f).map_err(|e| ParseError(e.to_string()))
     }
 
     /// `ASSIGN2 M(s0, s1) = v` (scalar fill) or
@@ -282,13 +275,11 @@ impl Interp {
             return err("PRINT2 supports `PRINT2 SUM M(s0, s1)`");
         };
         let (name, secs) = Self::parse_2d(secref)?;
-        let mat = self.get_matrix(&name)?;
-        let mut sum = 0.0f64;
-        for i in secs[0].iter() {
-            for j in secs[1].iter() {
-                sum += *mat.get(i, j).map_err(|e| ParseError(e.to_string()))?;
-            }
-        }
+        let sum = self
+            .get_matrix(&name)?
+            .section_values(&secs)
+            .map_err(|e| ParseError(e.to_string()))?
+            .fold(0.0f64, |sum, v| sum + v);
         self.output.push(format!("SUM2 {} = {sum}", secref.trim()));
         Ok(())
     }
@@ -487,10 +478,7 @@ impl Interp {
             .arrays
             .get_mut(&name)
             .ok_or_else(|| ParseError(format!("unknown array `{name}`")))?;
-        for i in 0..arr.len() {
-            arr.set(i, spec.0 * i as f64 + spec.1)
-                .map_err(|e| ParseError(e.to_string()))?;
-        }
+        arr.fill_with(|i| spec.0 * i as f64 + spec.1);
         Ok(())
     }
 
@@ -544,14 +532,15 @@ impl Interp {
         }
         if let Some(secref) = rest.strip_prefix("SUM ") {
             let r = parse_lhs(secref.trim())?;
-            let arr = self.get(&r.array)?;
-            let values: Vec<f64> = r
-                .section
-                .iter()
-                .map(|i| arr.get(i).copied())
-                .collect::<Result<_, _>>()
+            let mut values = self
+                .get(&r.array)?
+                .section_values(&r.section)
                 .map_err(|e| ParseError(e.to_string()))?;
-            let sum: f64 = values.iter().sum();
+            // Folds as `Iterator::sum` does, except that an empty section
+            // sums to 0, not to the -0.0 that `sum` starts from.
+            let sum = values
+                .next()
+                .map_or(0.0, |&first| values.fold(first, |sum, v| sum + v));
             self.output.push(format!("SUM {} = {}", secref.trim(), sum));
             return Ok(());
         }
@@ -591,13 +580,12 @@ impl Interp {
             return Ok(());
         }
         let r = parse_lhs(rest.trim())?;
-        let arr = self.get(&r.array)?;
-        let values: Vec<f64> = r
-            .section
-            .iter()
-            .map(|i| arr.get(i).copied())
-            .collect::<Result<_, _>>()
-            .map_err(|e| ParseError(e.to_string()))?;
+        let values: Vec<f64> = self
+            .get(&r.array)?
+            .section_values(&r.section)
+            .map_err(|e| ParseError(e.to_string()))?
+            .copied()
+            .collect();
         self.output.push(format!("{} = {:?}", rest.trim(), values));
         Ok(())
     }
@@ -935,6 +923,59 @@ mod tests {
             format!("A(100:109:1) = {:?}", &a[100..110]),
         ];
         assert_eq!(Interp::run(SCRIPT).unwrap(), want);
+    }
+
+    const SMALL: &str = "
+        PROCESSORS P(2)
+        TEMPLATE T(10)
+        REAL A(10)
+        ALIGN A(i) WITH T(i)
+        DISTRIBUTE T(CYCLIC(3)) ONTO P
+        PROCESSORS G(2, 2)
+        TEMPLATE T2(4, 4)
+        REAL M(4, 4)
+        ALIGN M(i, j) WITH T2(i, j)
+        DISTRIBUTE T2(CYCLIC(1), CYCLIC(2)) ONTO G
+    ";
+
+    #[test]
+    fn empty_sections_sum_to_zero() {
+        let out = Interp::run(&format!(
+            "{SMALL}
+             ASSIGN A(0:3:1) = -0
+             INIT2 M CONST 1
+             PRINT SUM A(5:4:1)
+             PRINT SUM A(0:3:1)
+             PRINT SUM A(9:0:-3)
+             PRINT2 SUM M(3:2:1, 0:3:1)"
+        ))
+        .unwrap();
+        // A non-empty sum folds exactly as `Iterator::sum`, so four -0.0
+        // values still sum to -0.
+        assert_eq!(
+            out,
+            [
+                "SUM A(5:4:1) = 0",
+                "SUM A(0:3:1) = -0",
+                "SUM A(9:0:-3) = 0",
+                "SUM2 M(3:2:1, 0:3:1) = 0"
+            ]
+        );
+    }
+
+    #[test]
+    fn out_of_range_sections_keep_their_errors() {
+        for (statement, message) in [
+            ("PRINT SUM A(0:10:1)", "global index out of bounds"),
+            ("PRINT A(12:2:-5)", "global index out of bounds"),
+            ("PRINT2 SUM M(0:3:1, 1:4:1)", "index out of bounds"),
+        ] {
+            let e = Interp::run(&format!("{SMALL}\n{statement}")).unwrap_err();
+            assert!(
+                e.0.ends_with(&format!("precondition failed: {message}")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

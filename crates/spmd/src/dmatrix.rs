@@ -12,7 +12,7 @@ use bcag_core::method::Method;
 use bcag_core::section::RegularSection;
 use bcag_hpf::diagonal::diagonal_accesses;
 use bcag_hpf::triangular::{trapezoid_accesses, Trapezoid};
-use bcag_hpf::ArrayMap;
+use bcag_hpf::{ArrayMap, DimMap};
 
 use crate::fuse::fits;
 use crate::machine::Machine;
@@ -47,14 +47,68 @@ impl<T: Clone + Send + Sync> DistMatrix<T> {
         T: Default,
     {
         let mut m = DistMatrix::new(map, T::default())?;
-        let extents = m.map.extents();
-        for i in 0..extents[0] {
-            for j in 0..extents[1] {
-                let v = f(i, j);
-                m.set(i, j, v)?;
+        m.fill_with(f)?;
+        Ok(m)
+    }
+
+    /// Sets every element `(i, j)` to `f(i, j)`, calling `f` in row-major
+    /// order. Each row and each column is placed once (owner coordinate and
+    /// local index), not each element.
+    pub fn fill_with(&mut self, mut f: impl FnMut(i64, i64) -> T) -> Result<()> {
+        let (rows, cols) = self.extents();
+        let rect = self.rect(0..rows, 0..cols)?;
+        for (i, &(rank0, addr0, ext0)) in (0..).zip(&rect.rows) {
+            for (j, &(rank1, addr1)) in (0..).zip(&rect.cols) {
+                self.locals[rank0 + rank1][addr0 + addr1 * ext0] = f(i, j);
             }
         }
-        Ok(m)
+        Ok(())
+    }
+
+    /// The elements of the rectangular section in row-major section order
+    /// (`section[1]` fastest). Each row and each column is placed once,
+    /// not each element. A section with an empty dimension yields nothing
+    /// and checks nothing; otherwise every index is bounds-checked before
+    /// the first element is yielded.
+    pub fn section_values(
+        &self,
+        section: &[RegularSection; 2],
+    ) -> Result<impl Iterator<Item = &T> + '_> {
+        let rect = if section.iter().any(|s| s.count() == 0) {
+            Rect::default()
+        } else {
+            self.rect(section[0].iter(), section[1].iter())?
+        };
+        Ok(rect.values(&self.locals))
+    }
+
+    /// Places the rectangle `rows × cols`, one [`DimMap`] lookup per row
+    /// and per column.
+    fn rect(
+        &self,
+        rows: impl Iterator<Item = i64>,
+        cols: impl Iterator<Item = i64>,
+    ) -> Result<Rect> {
+        let [d0, d1] = self.map.dims() else {
+            unreachable!("DistMatrix::new admits rank-2 maps only");
+        };
+        let p0 = self.map.grid().extent(0) as usize;
+        let place = |d: &DimMap, i: i64| -> Result<(usize, usize)> {
+            if !(0..d.extent()).contains(&i) {
+                return Err(BcagError::Precondition("index out of bounds"));
+            }
+            Ok((d.owner(i) as usize, d.local_index(i)? as usize))
+        };
+        let ext0 = (0..p0 as i64)
+            .map(|c| d0.local_extent(c).map(|e| e as usize))
+            .collect::<Result<Vec<_>>>()?;
+        let rows = rows
+            .map(|i| place(d0, i).map(|(c, a)| (c, a, ext0[c])))
+            .collect::<Result<_>>()?;
+        let cols = cols
+            .map(|j| place(d1, j).map(|(c, a)| (c * p0, a)))
+            .collect::<Result<_>>()?;
+        Ok(Rect { rows, cols })
     }
 
     /// The mapping descriptor.
@@ -88,9 +142,10 @@ impl<T: Clone + Send + Sync> DistMatrix<T> {
     /// Gathers into a dense row-major `Vec<Vec<T>>`.
     pub fn to_dense(&self) -> Result<Vec<Vec<T>>> {
         let (rows, cols) = self.extents();
-        (0..rows)
-            .map(|i| (0..cols).map(|j| self.get(i, j).cloned()).collect())
-            .collect()
+        let mut values = self.rect(0..rows, 0..cols)?.values(&self.locals);
+        Ok((0..rows)
+            .map(|_| values.by_ref().take(cols as usize).cloned().collect())
+            .collect())
     }
 
     /// Immutable view of one processor's local storage.
@@ -197,6 +252,37 @@ impl<T: Clone + Send + Sync> DistMatrix<T> {
             }
         });
         Ok(())
+    }
+}
+
+/// Per-dimension placement tables of a rectangle of a [`DistMatrix`].
+/// Local storage is column-major and the first grid coordinate varies
+/// fastest in a rank, so element `(r, c)` lives on rank
+/// `rows[r].0 + cols[c].0` at local address `rows[r].1 + cols[c].1 · rows[r].2`.
+#[derive(Default)]
+struct Rect {
+    /// Per row: owner coordinate `c0`, local index, and the local extent
+    /// of dimension 0 on `c0`.
+    rows: Vec<(usize, usize, usize)>,
+    /// Per column: `c1 · P0` for owner coordinate `c1`, and local index.
+    cols: Vec<(usize, usize)>,
+}
+
+impl Rect {
+    /// The rectangle's elements in `locals`, row-major.
+    fn values<T>(self, locals: &[Vec<T>]) -> impl Iterator<Item = &T> {
+        let Rect { rows, cols } = self;
+        let (mut r, mut c) = (0, 0);
+        std::iter::from_fn(move || {
+            let &(rank0, addr0, ext0) = rows.get(r)?;
+            let &(rank1, addr1) = cols.get(c)?;
+            (r, c) = if c + 1 < cols.len() {
+                (r, c + 1)
+            } else {
+                (r + 1, 0)
+            };
+            Some(&locals[rank0 + rank1][addr0 + addr1 * ext0])
+        })
     }
 }
 

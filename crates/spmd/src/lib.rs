@@ -99,7 +99,6 @@ pub use darray::DistArray;
 pub use dmatrix::DistMatrix;
 pub use fuse::{default_fused, epoch_block_elems, last_blocked, FuseCensus, FusedMode};
 pub use machine::Machine;
-pub use pack::gather_section;
 pub use pool::{LaunchMode, NodeCtx};
 pub use reduce::{dot_sections, reduce_section, sum_section};
 pub use shift::{cshift, eoshift};

@@ -137,44 +137,6 @@ pub fn unpack<T: PackValue>(
     Ok(())
 }
 
-/// Gathers the whole section, in section order, by concatenating the
-/// per-processor packs in *rank-merged* order: the section's `t`-th element
-/// comes from whichever processor owns it, so a simple per-processor
-/// concatenation is wrong; this merges by global index, which the packs
-/// already provide sorted.
-pub fn gather_section<T: PackValue + Default>(
-    arr: &DistArray<T>,
-    section: &RegularSection,
-    method: Method,
-) -> Result<Vec<T>> {
-    let mut out = vec![T::default(); section.count() as usize];
-    // Plans come from the process-wide cache; reuse one pack buffer (grown
-    // to the largest share) across m.
-    let plans = cache::plans(arr.p(), arr.k(), section, method)?;
-    let mut packed: Vec<T> = Vec::new();
-    for m in 0..arr.p() {
-        pack_with_buf(arr, section, m, method, &mut packed)?;
-        // Recover each packed value's section rank by walking the run plan
-        // alongside the pack: ranks follow local addresses in lockstep.
-        let plan = &plans[m as usize];
-        if plan.start.is_none() {
-            continue;
-        }
-        let norm = section.normalized();
-        let lay = arr.layout();
-        let mut cursor = 0usize;
-        plan.runs.for_each_segment(|seg| {
-            for j in 0..seg.len {
-                let g = lay.global_of(m, seg.addr + j * seg.gap);
-                let rank = (g - norm.lo) / norm.step;
-                out[rank as usize] = packed[cursor].clone();
-                cursor += 1;
-            }
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,16 +170,6 @@ mod tests {
         let buf = pack(&arr, &sec, 1, Method::Lattice).unwrap();
         // Processor 1's owned elements in increasing order (Figure 6 walk).
         assert_eq!(buf, vec![13, 40, 76, 139, 175, 202, 238, 265, 301]);
-    }
-
-    #[test]
-    fn gather_reconstructs_section() {
-        let data: Vec<i64> = (0..500).map(|i| 7 * i).collect();
-        let arr = DistArray::from_global(8, 4, &data).unwrap();
-        let sec = RegularSection::new(3, 495, 11).unwrap();
-        let gathered = gather_section(&arr, &sec, Method::Lattice).unwrap();
-        let expect: Vec<i64> = sec.iter().map(|i| data[i as usize]).collect();
-        assert_eq!(gathered, expect);
     }
 
     #[test]

@@ -37,38 +37,25 @@ pub fn cshift<T: PackValue>(b: &DistArray<T>, shift: i64) -> Result<DistArray<T>
 }
 
 /// End-off shift: like [`cshift`] but vacated positions take `boundary`.
+/// The result starts filled with `boundary`, so only the kept elements
+/// move; the vacated range needs no pass of its own.
 pub fn eoshift<T: PackValue>(b: &DistArray<T>, shift: i64, boundary: T) -> Result<DistArray<T>> {
     let n = b.len();
-    if n == 0 {
+    if shift == 0 || n == 0 {
         return Ok(b.clone());
     }
+    let mut a = DistArray::new(b.p(), b.k(), n, boundary)?;
     if shift.unsigned_abs() >= n.unsigned_abs() {
-        let mut a = b.clone();
-        for i in 0..n {
-            a.set(i, boundary.clone())?;
-        }
         return Ok(a);
     }
-    let mut a = b.clone();
-    if shift == 0 {
-        return Ok(a);
-    }
-    if shift > 0 {
-        let dst = RegularSection::new(0, n - 1 - shift, 1)?;
-        let src = RegularSection::new(shift, n - 1, 1)?;
-        assign_array(&mut a, &dst, b, &src)?;
-        for i in n - shift..n {
-            a.set(i, boundary.clone())?;
-        }
-    } else {
-        let sh = -shift;
-        let dst = RegularSection::new(sh, n - 1, 1)?;
-        let src = RegularSection::new(0, n - 1 - sh, 1)?;
-        assign_array(&mut a, &dst, b, &src)?;
-        for i in 0..sh {
-            a.set(i, boundary.clone())?;
-        }
-    }
+    let sh = shift.abs();
+    let (dst, src) = if shift > 0 { (0, sh) } else { (sh, 0) };
+    assign_array(
+        &mut a,
+        &RegularSection::new(dst, dst + n - 1 - sh, 1)?,
+        b,
+        &RegularSection::new(src, src + n - 1 - sh, 1)?,
+    )?;
     Ok(a)
 }
 
