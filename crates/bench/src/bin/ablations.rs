@@ -1,4 +1,4 @@
-//! Quick text report of the ablations A1–A4 from DESIGN.md (the Criterion
+//! Quick text report of the ablations A1–A6 from DESIGN.md (the Criterion
 //! benches give the statistically robust version; this binary prints a
 //! one-screen summary in seconds).
 //!
@@ -157,27 +157,31 @@ fn main() {
         );
     }
 
-    println!("\n== A4: comm schedule, enumeration vs lattice/CRT (µs) ==");
+    println!("\n== A4: comm schedule, period build vs lattice/CRT (µs) ==");
     println!(
-        "{:>10} | {:>12} {:>12}",
-        "elements", "enumerated", "lattice-crt"
+        "{:>10} | {:>12} {:>12} {:>12}",
+        "elements", "period", "lattice-crt", "heap bytes"
     );
-    for count in [100i64, 1_000, 10_000, 100_000] {
+    for count in [100i64, 1_000, 10_000, 100_000, 1_000_000] {
         let pp = 8i64;
         let sec_a = RegularSection::new(2, 2 + (count - 1) * 4, 4).unwrap();
         let sec_b = RegularSection::new(1, 1 + (count - 1) * 4, 4).unwrap();
         let r = reps.min(10);
-        let enumerated: Duration = best_of(r, || {
-            CommSchedule::build(pp, 8, &sec_a, 3, &sec_b, Method::Lattice).unwrap()
-        });
-        let lattice: Duration = best_of(r, || {
-            CommSchedule::build_lattice(pp, 8, &sec_a, 3, &sec_b).unwrap()
+        let build = || CommSchedule::build(pp, 8, &sec_a, 3, &sec_b, Method::Lattice).unwrap();
+        let period: Duration = best_of(r, build);
+        // The CRT construction materializes every transfer: its arm
+        // stops at 10⁵ elements.
+        let lattice = (count <= 100_000).then(|| {
+            as_micros(best_of(r, || {
+                CommSchedule::build_lattice(pp, 8, &sec_a, 3, &sec_b).unwrap()
+            }))
         });
         println!(
-            "{:>10} | {:>12.1} {:>12.1}",
+            "{:>10} | {:>12.1} {:>12} {:>12}",
             count,
-            as_micros(enumerated),
-            as_micros(lattice)
+            as_micros(period),
+            lattice.map_or("-".to_string(), |us| format!("{us:.1}")),
+            build().heap_bytes()
         );
     }
 }

@@ -233,6 +233,7 @@ struct IterState {
 }
 
 /// Iterator over a pattern's accesses in increasing global-index order.
+/// It ends at the last access whose global index fits `i64`.
 #[derive(Debug, Clone)]
 pub struct PatternIter<'a> {
     pattern: &'a AccessPattern,
@@ -249,9 +250,16 @@ impl Iterator for PatternIter<'_> {
             local: st.local,
         };
         if let Pattern::Cyclic(c) = &self.pattern.pattern {
-            st.local += c.gaps[st.idx];
-            st.global += c.global_steps[st.idx];
-            st.idx = (st.idx + 1) % c.gaps.len();
+            // A local address never exceeds its global index, so only the
+            // global step can leave `i64`.
+            match st.global.checked_add(c.global_steps[st.idx]) {
+                Some(global) => {
+                    st.global = global;
+                    st.local += c.gaps[st.idx];
+                    st.idx = (st.idx + 1) % c.gaps.len();
+                }
+                None => self.state = None,
+            }
         }
         Some(out)
     }

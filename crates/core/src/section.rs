@@ -39,7 +39,10 @@ pub struct NormalizedSection {
 }
 
 impl RegularSection {
-    /// Creates a section, validating `s != 0` and `l, u >= 0`.
+    /// Creates a section, validating `s != 0` and `l, u >= 0`. A stride
+    /// of `i64::MIN`, which has no positive twin, and a section of more
+    /// than `i64::MAX` elements (the full range `0..=i64::MAX` at unit
+    /// stride) are [`BcagError::Overflow`].
     pub fn new(l: i64, u: i64, s: i64) -> Result<Self> {
         if s == 0 {
             return Err(BcagError::ZeroStride);
@@ -49,6 +52,9 @@ impl RegularSection {
         }
         if u < 0 {
             return Err(BcagError::NegativeLowerBound { l: u });
+        }
+        if s == i64::MIN || (u - l) / s == i64::MAX {
+            return Err(BcagError::Overflow);
         }
         Ok(RegularSection { l, u, s })
     }
@@ -222,6 +228,53 @@ mod tests {
         assert_eq!(sec.normalized().count, 0);
         let sec = RegularSection::new(9, 10, -3).unwrap();
         assert!(sec.is_empty());
+    }
+
+    #[test]
+    fn overflowing_sections_are_rejected() {
+        // `count` would be `i64::MAX + 1`.
+        assert_eq!(
+            RegularSection::new(0, i64::MAX, 1),
+            Err(BcagError::Overflow)
+        );
+        assert_eq!(
+            RegularSection::new(i64::MAX, 0, -1),
+            Err(BcagError::Overflow)
+        );
+        // One short of that, and the widest stride of each sign, still fit.
+        assert_eq!(
+            RegularSection::new(1, i64::MAX, 1).unwrap().count(),
+            i64::MAX
+        );
+        assert_eq!(
+            RegularSection::new(i64::MAX, 1, -1).unwrap().count(),
+            i64::MAX
+        );
+        assert_eq!(
+            RegularSection::new(0, i64::MAX, 2).unwrap().count(),
+            i64::MAX / 2 + 1
+        );
+        assert_eq!(
+            RegularSection::new(i64::MAX, 0, i64::MAX).unwrap().count(),
+            0
+        );
+        assert_eq!(
+            RegularSection::new(i64::MAX, 0, -i64::MAX).unwrap().count(),
+            2
+        );
+    }
+
+    #[test]
+    fn min_stride_is_rejected() {
+        // `-i64::MIN` does not exist, so `count` and `normalized` could
+        // not negate it.
+        for (l, u) in [(5, 0), (0, 5), (i64::MAX, 0), (3, 3)] {
+            assert_eq!(
+                RegularSection::new(l, u, i64::MIN),
+                Err(BcagError::Overflow),
+                "l={l} u={u}"
+            );
+        }
     }
 
     #[test]

@@ -810,7 +810,9 @@ mod tests {
         // The schedule *data* is context-independent.
         for src in 0..3 {
             for dst in 0..3 {
-                assert_eq!(base.transfers(src, dst), other_kind.transfers(src, dst));
+                assert!(base
+                    .transfer_runs(src, dst)
+                    .eq(other_kind.transfer_runs(src, dst)));
             }
         }
     }

@@ -57,6 +57,13 @@ impl<T> Csr<T> {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
+
+    /// Heap bytes held: the item buffer and the offset table, at
+    /// capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.items.capacity() * std::mem::size_of::<T>()
+            + self.offsets.capacity() * std::mem::size_of::<usize>()
+    }
 }
 
 /// Incremental builder for [`Csr`]: push items, then seal the current row.

@@ -63,9 +63,10 @@
 //!
 //! Epochs whose working set spills L2 are **blocked**:
 //! [`epoch_block_elems`] derives an L2-resident chunk size, physical
-//! messages split into ≤-block-sized payloads at compile time (sender
-//! and receiver derive identical split points from the same schedule,
-//! so no wire metadata is added), and communication-free expression
+//! messages split into ≤-block-sized payloads at compile time (one walk
+//! over each pair's schedule runs emits the sender's and the receiver's
+//! steps with identical split points, so no wire metadata is added),
+//! and communication-free expression
 //! epochs stage → move → apply one L2-sized address range at a time
 //! instead of snapshotting the whole local image. The block size is part
 //! of the fused cache key, so a program compiled unblocked (block `0`)
@@ -86,7 +87,7 @@ use bcag_core::tune;
 
 use crate::cache;
 use crate::comm::wire::{self, PackValue};
-use crate::comm::ExecMode;
+use crate::comm::{ExecMode, TransferRun};
 use crate::darray::DistArray;
 use crate::pool::{self, lock_clean, BufferArena, LaunchMode, NodeCtx};
 use crate::transport::{self, TransportKind};
@@ -247,8 +248,8 @@ struct ScatterStep {
 }
 
 /// The expected inbound traffic from `src` — the schedule is global
-/// knowledge, so the payload layout (operand order, then compiled run
-/// order, split at the same block boundaries the sender derives) and
+/// knowledge, so the payload layout (operand order, then run order,
+/// split at the same block boundaries as the sender's) and
 /// per-logical-message `charges` are compiled here and the wire carries
 /// only values. `blocks[i]` scatters the `i`-th physical message from
 /// `src`; each step's `off` is relative to that block's payload.
@@ -936,76 +937,63 @@ impl NodeProgram {
     }
 }
 
-/// Appends one gather run to `plan`, splitting it across ≤`cap`-element
-/// message blocks. `cur` tracks the open block's fill and persists
-/// across runs and operands, so block boundaries depend only on the
-/// compiled run sequence — which sender and receiver share.
-fn push_send_run(
-    plan: &mut SendPlan,
-    cur: &mut usize,
+/// Appends one cross-node transfer run to both sides of its pair at
+/// once: gather segments to the sender's `send` plan and scatter segments
+/// to the receiver's `recv` plan, split across ≤`cap`-element message
+/// blocks. `fill` tracks the open block's fill and persists across runs
+/// and operands, so block boundaries depend only on the pair's run
+/// sequence, and both sides split at the same points. Each block's
+/// scatter offsets restart at zero because each block is its own payload.
+/// A block opened here reserves room for `steps` segments.
+fn push_pair_run<T>(
+    send: &mut SendPlan,
+    recv: &mut RecvPlan,
+    fill: &mut usize,
     cap: usize,
     op: usize,
-    mut addr: usize,
-    gap: usize,
-    class: ShapeClass,
-    mut len: usize,
+    run: &TransferRun,
+    steps: usize,
 ) {
+    let (mut src, mut dst, mut len) = (
+        run.src_local as usize,
+        run.dst_local as usize,
+        run.len as usize,
+    );
+    let (sgap, dgap) = (run.sgap as usize, run.dgap as usize);
+    let (sclass, dclass) = (class_of::<T>(run.sgap), class_of::<T>(run.dgap));
     while len > 0 {
-        if plan.blocks.is_empty() || *cur == cap {
-            plan.blocks.push(SendBlock {
+        if send.blocks.is_empty() || *fill == cap {
+            send.blocks.push(SendBlock {
                 elements: 0,
-                gathers: Vec::new(),
+                gathers: Vec::with_capacity(steps),
             });
-            *cur = 0;
+            recv.blocks.push(Vec::with_capacity(steps));
+            *fill = 0;
         }
-        let take = len.min(cap - *cur);
-        let blk = plan.blocks.last_mut().expect("block ensured above");
+        let take = len.min(cap - *fill);
+        let blk = send.blocks.last_mut().expect("block ensured above");
         blk.gathers.push(GatherStep {
             op,
-            addr,
-            gap,
-            class,
+            addr: src,
+            gap: sgap,
+            class: sclass,
             len: take,
         });
         blk.elements += take;
-        *cur += take;
-        addr += gap * take;
-        len -= take;
-    }
-}
-
-/// The receiver-side twin of [`push_send_run`]: same cap, same run
-/// sequence, therefore the same split points — each block's scatter
-/// offsets restart at zero because each block is its own payload.
-fn push_recv_run(
-    plan: &mut RecvPlan,
-    cur: &mut usize,
-    cap: usize,
-    op: usize,
-    mut addr: usize,
-    gap: usize,
-    class: ShapeClass,
-    mut len: usize,
-) {
-    while len > 0 {
-        if plan.blocks.is_empty() || *cur == cap {
-            plan.blocks.push(Vec::new());
-            *cur = 0;
-        }
-        let take = len.min(cap - *cur);
-        plan.blocks
+        recv.blocks
             .last_mut()
             .expect("block ensured above")
             .push(ScatterStep {
                 op,
-                addr,
-                gap,
-                class,
+                addr: dst,
+                gap: dgap,
+                class: dclass,
                 len: take,
-                off: *cur,
+                off: *fill,
             });
-        *cur += take;
-        addr += gap * take;
+        *fill += take;
+        src += sgap * take;
+        dst += dgap * take;
         len -= take;
     }
 }
@@ -1122,13 +1110,8 @@ pub fn compile<T: PackValue>(
         )?);
     }
     let pu = p as usize;
-    // Message payload cap in elements; shared by both sides of every
-    // pair, so split points agree.
-    let cap = if block == 0 { usize::MAX } else { block };
-    let mut blocked = false;
-    let mut nodes = Vec::with_capacity(pu);
-    for me in 0..pu {
-        let mut prog = NodeProgram {
+    let mut nodes: Vec<NodeProgram> = (0..pu)
+        .map(|_| NodeProgram {
             self_moves: Vec::with_capacity(ops.len()),
             sends: Vec::new(),
             recvs: Vec::new(),
@@ -1139,64 +1122,72 @@ pub fn compile<T: PackValue>(
             nonlocal: 0,
             seg_count: 0,
             seg_elems: 0,
-        };
-        // Per-peer accumulators: logical (operand, peer) messages merge
-        // into one physical message per peer per block, packed — and
-        // unpacked — in operand order, then compiled run order, so
-        // sender and receiver derive the same payload layout
-        // independently.
-        let mut send_acc: Vec<SendPlan> = (0..pu)
-            .map(|dst| SendPlan {
-                dst,
-                charges: Vec::new(),
-                blocks: Vec::new(),
-            })
-            .collect();
-        let mut send_cur = vec![0usize; pu];
-        let mut recv_acc: Vec<RecvPlan> = (0..pu)
-            .map(|src| RecvPlan {
-                src,
-                charges: Vec::new(),
-                blocks: Vec::new(),
-            })
-            .collect();
-        let mut recv_cur = vec![0usize; pu];
-        // Per-peer payload caps: the global cap widened so no pair ever
-        // splits into more than [`MAX_BLOCKS_PER_PEER`] envelopes. The
-        // epoch protocol sends every block before receiving any, so on
-        // the shm fabric's fixed-capacity SPSC rings an unbounded block
-        // count could leave two peers spinning on mutually full rings;
-        // keeping the per-pair envelope count under the ring capacity
-        // means a send can never block, whatever the transfer size.
-        // Sender and receiver widen from the same pair totals, so the
-        // split points still agree.
-        let mut send_cap = vec![cap; pu];
-        let mut recv_cap = vec![cap; pu];
-        if block > 0 {
-            for peer in 0..pu {
-                if peer == me {
-                    continue;
-                }
-                let out: usize = schedules.iter().map(|s| s.pair(me, peer).len()).sum();
-                send_cap[peer] = cap.max(out.div_ceil(MAX_BLOCKS_PER_PEER));
-                let inn: usize = schedules.iter().map(|s| s.pair(peer, me).len()).sum();
-                recv_cap[peer] = cap.max(inn.div_ceil(MAX_BLOCKS_PER_PEER));
+        })
+        .collect();
+    // Per directed pair `src · p + dst`: the sender's and the receiver's
+    // message plans. Logical (operand, pair) messages merge into one
+    // physical message per pair per block, packed — and unpacked — in
+    // operand order, then run order. One walk over each pair's runs
+    // emits both sides, so their payload layouts agree.
+    let mut send_acc: Vec<SendPlan> = (0..pu * pu)
+        .map(|pair| SendPlan {
+            dst: pair % pu,
+            charges: Vec::new(),
+            blocks: Vec::new(),
+        })
+        .collect();
+    let mut recv_acc: Vec<RecvPlan> = (0..pu * pu)
+        .map(|pair| RecvPlan {
+            src: pair / pu,
+            charges: Vec::new(),
+            blocks: Vec::new(),
+        })
+        .collect();
+    let mut fill = vec![0usize; pu * pu];
+    // Per-pair payload caps: the block size (unbounded when `0`), widened
+    // so no pair ever splits into more than [`MAX_BLOCKS_PER_PEER`]
+    // envelopes. The epoch protocol sends every block before receiving
+    // any, so on the shm fabric's fixed-capacity SPSC rings an unbounded
+    // block count could leave two peers spinning on mutually full rings;
+    // keeping the per-pair envelope count under the ring capacity means a
+    // send can never block, whatever the transfer size.
+    let caps: Vec<usize> = (0..pu * pu)
+        .map(|pair| {
+            if block == 0 {
+                return usize::MAX;
             }
-        }
-        for (op, sched) in schedules.iter().enumerate() {
+            let (src, dst) = ((pair / pu) as i64, (pair % pu) as i64);
+            let total: usize = schedules.iter().map(|s| s.pair_len(src, dst)).sum();
+            block.max(total.div_ceil(MAX_BLOCKS_PER_PEER))
+        })
+        .collect();
+    for (op, sched) in schedules.iter().enumerate() {
+        for (src, prog) in nodes.iter_mut().enumerate() {
             let mut op_moves = Vec::new();
             for dst in 0..pu {
-                let transfers = sched.pair(me, dst);
-                prog.moved += transfers.len() as u64;
-                let runs = sched.pair_runs(me, dst);
-                for r in runs {
+                let n = sched.pair_len(src as i64, dst as i64);
+                prog.moved += n as u64;
+                if n == 0 {
+                    continue;
+                }
+                let pair = src * pu + dst;
+                let mut runs = sched.transfer_runs(src as i64, dst as i64);
+                let count = runs.len();
+                // Segments per message block, from the pair's mean run
+                // length, so opening a block reserves about what it takes.
+                let per_block = match caps[pair] {
+                    usize::MAX => usize::MAX,
+                    cap => cap.saturating_mul(count) / n + 1,
+                };
+                if src == dst {
+                    op_moves.reserve(count);
+                }
+                while let Some(r) = runs.next() {
                     if r.len >= 2 {
                         prog.seg_count += 1;
                         prog.seg_elems += r.len as u64;
                     }
-                }
-                if dst == me {
-                    for r in runs {
+                    if src == dst {
                         op_moves.push(MoveStep {
                             dst: r.dst_local as usize,
                             dgap: r.dgap as usize,
@@ -1206,62 +1197,39 @@ pub fn compile<T: PackValue>(
                             sclass: class_of::<T>(r.sgap),
                             len: r.len as usize,
                         });
+                    } else {
+                        push_pair_run::<T>(
+                            &mut send_acc[pair],
+                            &mut recv_acc[pair],
+                            &mut fill[pair],
+                            caps[pair],
+                            op,
+                            &r,
+                            (runs.len() + 1).min(per_block),
+                        );
                     }
-                    continue;
                 }
-                if transfers.is_empty() {
-                    continue;
-                }
-                prog.msgs += 1;
-                prog.nonlocal += transfers.len() as u64;
-                let acc = &mut send_acc[dst];
-                acc.charges
-                    .push(wire::wire_size::<T>(runs.len(), transfers.len()) as u64);
-                for r in runs {
-                    push_send_run(
-                        acc,
-                        &mut send_cur[dst],
-                        send_cap[dst],
-                        op,
-                        r.src_local as usize,
-                        r.sgap as usize,
-                        class_of::<T>(r.sgap),
-                        r.len as usize,
-                    );
+                if src != dst {
+                    prog.msgs += 1;
+                    prog.nonlocal += n as u64;
+                    let charge = wire::wire_size::<T>(count, n) as u64;
+                    send_acc[pair].charges.push(charge);
+                    recv_acc[pair].charges.push(charge);
                 }
             }
             prog.self_moves.push(op_moves);
-            for src in 0..pu {
-                let transfers = sched.pair(src, me);
-                if src == me || transfers.is_empty() {
-                    continue;
-                }
-                let runs = sched.pair_runs(src, me);
-                let acc = &mut recv_acc[src];
-                acc.charges
-                    .push(wire::wire_size::<T>(runs.len(), transfers.len()) as u64);
-                for r in runs {
-                    push_recv_run(
-                        acc,
-                        &mut recv_cur[src],
-                        recv_cap[src],
-                        op,
-                        r.dst_local as usize,
-                        r.dgap as usize,
-                        class_of::<T>(r.dgap),
-                        r.len as usize,
-                    );
-                }
-            }
         }
-        prog.sends = send_acc
-            .into_iter()
-            .filter(|s| !s.charges.is_empty())
-            .collect();
-        prog.recvs = recv_acc
-            .into_iter()
-            .filter(|r| !r.charges.is_empty())
-            .collect();
+    }
+    // Pairs are numbered `src · p + dst`: each node's sends come out in
+    // destination order and its receives in source order.
+    for (pair, (send, recv)) in send_acc.into_iter().zip(recv_acc).enumerate() {
+        if !send.charges.is_empty() {
+            nodes[pair / pu].sends.push(send);
+            nodes[pair % pu].recvs.push(recv);
+        }
+    }
+    let mut blocked = false;
+    for (me, prog) in nodes.iter_mut().enumerate() {
         if plans[me].start.is_some() {
             for seg in lower_plan(&plans[me].runs) {
                 prog.apply.push(ApplyStep {
@@ -1273,10 +1241,9 @@ pub fn compile<T: PackValue>(
             }
         }
         if block > 0 && prog.sends.is_empty() && prog.recvs.is_empty() {
-            prog.local_blocks = local_blocks_for(&prog, block);
+            prog.local_blocks = local_blocks_for(prog, block);
         }
         blocked |= !prog.local_blocks.is_empty() || prog.sends.iter().any(|s| s.blocks.len() > 1);
-        nodes.push(prog);
     }
     Ok(FusedStatement {
         p,

@@ -102,25 +102,29 @@ fn traced_totals(case: &Case, kind: TransportKind) -> [u64; 6] {
     .map(|name| trace.counter_total(name))
 }
 
-/// The same six totals in closed form, straight from the schedule.
+/// The same six totals in closed form: the element counts from the CRT
+/// oracle, the wire bytes from the runs of the period schedule the fused
+/// compile reads.
 fn closed_form(case: &Case) -> [u64; 6] {
     let &(p, k_a, k_b, ..) = case;
     let (sec_a, sec_b) = sections(case);
-    let sched = CommSchedule::build_lattice(p, k_a, &sec_a, k_b, &sec_b).unwrap();
-    let total = sched.total_elements() as u64;
+    let oracle = CommSchedule::build_lattice(p, k_a, &sec_a, k_b, &sec_b).unwrap();
+    let sched = CommSchedule::build(p, k_a, &sec_a, k_b, &sec_b, Method::Lattice).unwrap();
+    let total = oracle.total_elements() as u64;
     let mut wire = 0u64;
     for src in 0..p {
         for dst in (0..p).filter(|&d| d != src) {
-            let n = sched.transfers(src, dst).len();
+            let n = sched.pair_len(src, dst);
+            assert_eq!(n, oracle.pair_len(src, dst));
             if n > 0 {
-                wire += wire_size::<i64>(sched.transfer_runs(src, dst).len(), n) as u64;
+                wire += wire_size::<i64>(sched.transfer_runs(src, dst).count(), n) as u64;
             }
         }
     }
     [
         total,
-        sched.nonlocal_elements() as u64,
-        sched.nonempty_nonlocal_pairs() as u64,
+        oracle.nonlocal_elements() as u64,
+        oracle.nonempty_nonlocal_pairs() as u64,
         total * std::mem::size_of::<i64>() as u64,
         wire,
         wire,

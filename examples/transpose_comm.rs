@@ -29,9 +29,10 @@ fn main() {
 
     println!("redistribution cyclic({k_b}) -> cyclic({k_a}), n = {n}, p = {p}");
     println!(
-        "{} elements total, {} cross-processor",
+        "{} elements total, {} cross-processor; the cached schedule holds one period, {} bytes",
         schedule.total_elements(),
-        schedule.nonlocal_elements()
+        schedule.nonlocal_elements(),
+        schedule.heap_bytes()
     );
     println!("\nmessage matrix (elements from src row to dst column):");
     print!("{:>8}", "src\\dst");
@@ -42,7 +43,7 @@ fn main() {
     for src in 0..p {
         print!("{src:>8}");
         for dst in 0..p {
-            print!("{:>8}", schedule.transfers(src, dst).len());
+            print!("{:>8}", schedule.pair_len(src, dst));
         }
         println!();
     }
