@@ -502,11 +502,6 @@ pub fn stats(argv: &[String]) -> i32 {
             bcag_spmd::default_fused().name(),
             bcag_spmd::transport::active_transport().name()
         );
-        println!(
-            "blocking: l2={}KiB (BCAG_L2_KB) blocked_epochs={}",
-            bcag_core::tune::l2_bytes() / 1024,
-            trace.counter_total("tune_decision_blocked"),
-        );
         let cs = bcag_spmd::cache::stats();
         println!(
             "schedule cache: hits={} misses={} hit_rate={:.1}% entries={}/{} evictions={}",

@@ -351,14 +351,8 @@ fn stats_prints_flight_recorder_and_percentiles() {
     assert!(stdout.contains("schedule cache: hits="), "{stdout}");
     assert!(stdout.contains("histogram percentiles:"), "{stdout}");
     assert!(stdout.contains("rt_statement_ns"), "{stdout}");
-    // The blocking line: resolved L2 and how many epochs ran blocked.
-    assert!(stdout.contains("blocking: l2="), "{stdout}");
-    assert!(
-        stdout.contains("KiB (BCAG_L2_KB) blocked_epochs="),
-        "{stdout}"
-    );
-    // The flight recorder's blocking column.
-    assert!(stdout.contains(" blk "), "{stdout}");
+    // The flight recorder's columns, through the transport.
+    assert!(stdout.contains(" miss xport "), "{stdout}");
 }
 
 /// Runs `bcag run` on the repository's triad script with the two cache

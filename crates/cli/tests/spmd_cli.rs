@@ -101,9 +101,9 @@ fn spmd_matches_in_process_run() {
 fn spmd_survives_sends_past_the_pipe_buffers() {
     let dir = std::env::temp_dir().join(format!("bcag-spmd-bulk-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    // (p, n, BCAG_L2_KB): unblocked at p = 4, and many small blocks per
-    // peer at p = 2.
-    for (p, n, l2_kb) in [(4i64, 400_000i64, None), (2, 160_000, Some("32"))] {
+    // (p, n): one message per peer pair either way, each far past a
+    // pipe buffer.
+    for (p, n) in [(4i64, 400_000i64), (2, 160_000)] {
         let script = format!(
             "PROCESSORS P({p})\n\
              TEMPLATE TA({n})\nREAL A({n})\n\
@@ -123,12 +123,10 @@ fn spmd_survives_sends_past_the_pipe_buffers() {
         let path = dir.join(format!("bulk_p{p}_n{n}.hpf"));
         std::fs::write(&path, script).unwrap();
         let path = path.to_str().unwrap();
-        let envs: Vec<(&str, &str)> = l2_kb.map(|kb| ("BCAG_L2_KB", kb)).into_iter().collect();
-        let (in_process, stderr, code) = bcag(&["run", "--file", path], &envs);
+        let (in_process, stderr, code) = bcag(&["run", "--file", path], &[]);
         assert_eq!(code, 0, "p={p} n={n}: {stderr}");
         let procs = p.to_string();
-        let (multi_process, stderr, code) =
-            bcag(&["spmd", "--file", path, "--procs", &procs], &envs);
+        let (multi_process, stderr, code) = bcag(&["spmd", "--file", path, "--procs", &procs], &[]);
         assert_eq!(code, 0, "p={p} n={n}: {stderr}");
         assert_eq!(multi_process, in_process, "p={p} n={n}");
         assert!(multi_process.starts_with("SUM A("), "{multi_process}");

@@ -1,14 +1,14 @@
-//! L2 transfer blocking: the one execution decision made from a plan.
+//! The L2 model: the host's L2 size and the block size a statement's
+//! working set would call for.
 //!
 //! The paper's run tables make every statement's memory footprint
 //! statically known, so whether its transfers fit in cache is a
-//! plan-time fact. A transfer whose staging working set exceeds half of
-//! L2 ([`block_elems_for`]) is split into L2-sized chunks, so the
-//! stage→pack→send→unpack→apply pipeline stays cache-resident; the
-//! block size budgets a quarter of L2 per live buffer (snapshot staging,
-//! pack buffer, source and destination shares). The fused compiler
-//! (`bcag-spmd::fuse`) stores the chosen block size in each compiled
-//! program.
+//! plan-time fact. [`block_elems_for`] derives an L2-sized block for a
+//! transfer whose working set exceeds half of L2. The fused compiler
+//! (`bcag-spmd::fuse`) once split its epochs into such blocks; its
+//! epochs now stage nothing, so no program is blocked, and the block
+//! size and L2 size remain only as reported figures (the ledger's
+//! roofline model reads the L2 size).
 //!
 //! The L2 size is probed from sysfs where available, defaults to
 //! [`DEFAULT_L2_KB`], and is overridable with `BCAG_L2_KB` (clamped to
@@ -17,12 +17,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The plan-time tuning regime. Blocking is the only decision left, so
-/// this has a single variant; it survives because benchmark reports
-/// still record it.
+/// The plan-time tuning regime. No epoch is blocked any more, so this
+/// has a single variant; it survives because benchmark reports still
+/// record it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TuneMode {
-    /// L2 blocking derived from each statement's working set.
+    /// The block size derived from each statement's working set.
     Auto,
 }
 
@@ -106,10 +106,9 @@ pub fn set_l2_bytes(bytes: u64) {
 
 /// Block size (elements) for a transfer of `count` elements of
 /// `elem_bytes` each against an L2 of `l2_bytes`: `0` (unblocked) while
-/// twice the payload fits in L2, else a quarter of L2 per live buffer —
-/// snapshot staging, pack buffer, and the source/destination shares all
-/// stay resident together. Never below 1024 elements, so tiny L2
-/// overrides cannot fragment a transfer into per-element messages.
+/// twice the payload fits in L2, else a quarter of L2 per live buffer.
+/// Never below 1024 elements, so tiny L2 overrides cannot shrink it to a
+/// few elements.
 pub fn block_elems_for(count: u64, elem_bytes: usize, l2_bytes: u64) -> usize {
     let eb = elem_bytes.max(1) as u64;
     if count.saturating_mul(eb).saturating_mul(2) <= l2_bytes {

@@ -7,7 +7,7 @@
 //! Each record carries what an operator needs after the fact: the
 //! statement's kind and text, its latency, the data it moved (when
 //! tracing was on), whether the schedule cache answered, and the
-//! execution configuration (L2 blocking, transport) it ran under.
+//! transport it ran on.
 //! The ring is dumped to stderr when a statement panics (pool poison
 //! propagates as a panic) and on demand via the `bcag stats`
 //! subcommand.
@@ -41,8 +41,6 @@ pub struct StatementRecord {
     pub cache_hits: u64,
     /// Schedule-cache misses (builds) this statement caused.
     pub cache_misses: u64,
-    /// Whether the statement's fused epoch ran L2-blocked.
-    pub blocked: bool,
     /// Transport name (`shm` / `proc`).
     pub transport: &'static str,
     /// Whether the statement completed without error.
@@ -114,7 +112,6 @@ pub fn record(kind: &'static str, line: &str, before: Baseline, ok: bool) {
         },
         cache_hits: cache_now.0.saturating_sub(before.cache.0),
         cache_misses: cache_now.1.saturating_sub(before.cache.1),
-        blocked: bcag_spmd::fuse::last_blocked().unwrap_or(false),
         transport: bcag_spmd::transport::active_transport().name(),
         ok,
     };
@@ -139,12 +136,12 @@ pub fn clear() {
 pub fn render(records: &[StatementRecord]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>5} {:<16} {:>10} {:>9} {:>10} {:>5} {:>5} {:<3} {:<6} {:<3} statement\n",
-        "seq", "kind", "lat_us", "elems", "tx_bytes", "hit", "miss", "blk", "xport", "ok",
+        "{:>5} {:<16} {:>10} {:>9} {:>10} {:>5} {:>5} {:<6} {:<3} statement\n",
+        "seq", "kind", "lat_us", "elems", "tx_bytes", "hit", "miss", "xport", "ok",
     ));
     for r in records {
         out.push_str(&format!(
-            "{:>5} {:<16} {:>10.1} {:>9} {:>10} {:>5} {:>5} {:<3} {:<6} {:<3} {}\n",
+            "{:>5} {:<16} {:>10.1} {:>9} {:>10} {:>5} {:>5} {:<6} {:<3} {}\n",
             r.seq,
             r.kind,
             r.latency_ns as f64 / 1_000.0,
@@ -152,7 +149,6 @@ pub fn render(records: &[StatementRecord]) -> String {
             r.bytes_tx,
             r.cache_hits,
             r.cache_misses,
-            if r.blocked { "yes" } else { "no" },
             r.transport,
             if r.ok { "yes" } else { "NO" },
             r.line,
@@ -239,7 +235,6 @@ mod tests {
             bytes_tx: 80,
             cache_hits: 2,
             cache_misses: 1,
-            blocked: true,
             transport: "shm",
             ok: true,
         };
@@ -251,24 +246,8 @@ mod tests {
         let header = text.lines().next().unwrap();
         let row = text.lines().nth(1).unwrap();
         let col = |line: &str| line.split_whitespace().nth(7).map(str::to_string);
-        assert_eq!(col(header).as_deref(), Some("blk"), "{text}");
-        assert_eq!(col(row).as_deref(), Some("yes"), "{text}");
-    }
-
-    #[test]
-    fn records_capture_the_epoch_blocking() {
-        // Run one real statement, then record: a 64-element statement fits
-        // any L2, so its fused epoch ran unblocked.
-        let mut a = bcag_spmd::darray::DistArray::new(2, 4, 64, 0i64).unwrap();
-        let b = bcag_spmd::darray::DistArray::new(2, 4, 64, 5i64).unwrap();
-        let sec = bcag_core::section::RegularSection::new(0, 63, 1).unwrap();
-        let _serial = RING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let base = Baseline::capture();
-        bcag_spmd::statement::assign_expr(&mut a, &sec, &[(&b, sec)], |v| v[0]).unwrap();
-        record("rt.ASSIGN", "ASSIGN A(0:63:1) = B(0:63:1)", base, true);
-        assert_eq!(bcag_spmd::fuse::epoch_block_elems::<i64>(&sec), 0);
-        let rec = snapshot().into_iter().last().unwrap();
-        assert!(!rec.blocked, "a resident statement runs unblocked");
+        assert_eq!(col(header).as_deref(), Some("xport"), "{text}");
+        assert_eq!(col(row).as_deref(), Some("shm"), "{text}");
     }
 
     #[test]

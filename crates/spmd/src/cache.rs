@@ -107,11 +107,6 @@ enum Key {
         ops: Vec<(i64, (i64, i64, i64))>,
         tid: TypeId,
         exec: (ExecMode, TransportKind),
-        /// Transfer block size (elements) the program was compiled for
-        /// (`0` = unblocked). Part of the key so blocked/unblocked A/Bs
-        /// and L2-size overrides in tests never reuse a program compiled
-        /// for the other blocking regime.
-        block: usize,
     },
 }
 
@@ -750,7 +745,6 @@ pub fn fused<V: Send + Sync + 'static>(
     ops: &[(i64, RegularSection)],
     mode: ExecMode,
     kind: TransportKind,
-    block: usize,
     build: impl FnOnce() -> Result<Arc<V>>,
 ) -> Result<Arc<V>> {
     let key = Key::Fused {
@@ -760,7 +754,6 @@ pub fn fused<V: Send + Sync + 'static>(
         ops: ops.iter().map(|(k, s)| (*k, sec_key(s))).collect(),
         tid: TypeId::of::<V>(),
         exec: (mode, kind),
-        block,
     };
     let v = get_or_build(key, || {
         build().map(|f| Value::Fused(f as Arc<dyn Any + Send + Sync>))

@@ -326,6 +326,21 @@ impl Iterator for TransferRuns<'_> {
 
 impl ExactSizeIterator for TransferRuns<'_> {}
 
+/// One (source, destination) pair's transfers in period form, as
+/// [`CommSchedule::pair_period`] returns them: `runs` in section-rank
+/// order, `repeats` times, the `r`-th copy shifted by `r·delta`; then the
+/// tail, the first `tail_runs` runs shifted by `repeats·delta`, the last
+/// one cut to `tail_cut` transfers. `delta` is `(0, 0)` unless the
+/// section spans more than one period.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairPeriod<'a> {
+    pub runs: &'a [TransferRun],
+    pub repeats: i64,
+    pub delta: (i64, i64),
+    pub tail_runs: usize,
+    pub tail_cut: i64,
+}
+
 /// Closed-form `p × p` message matrix: `get(src, dst)` is the number of
 /// elements moving from `src` to `dst`, stored flat (row-major).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -366,7 +381,7 @@ impl MessageMatrix {
 }
 
 /// Section ranks per period of one side: `p·k / gcd(s, p·k)`.
-fn rank_period(p: i64, k: i64, s: i64) -> Result<i64> {
+pub(crate) fn rank_period(p: i64, k: i64, s: i64) -> Result<i64> {
     let pk = numth::mul(p, k)?;
     Ok(pk / gcd(s, pk))
 }
@@ -666,18 +681,35 @@ impl CommSchedule {
         self.repeats as usize * c.period + c.tail
     }
 
+    /// The transfers from `src` to `dst` in period form, unexpanded.
+    pub(crate) fn pair_period(&self, src: i64, dst: i64) -> PairPeriod<'_> {
+        let r = self.row(src, dst);
+        let runs = self.runs.row(r);
+        let c = self.counts[r];
+        PairPeriod {
+            runs,
+            repeats: if runs.is_empty() { 0 } else { self.repeats },
+            delta: self.delta,
+            tail_runs: c.tail_runs,
+            tail_cut: c.tail_cut,
+        }
+    }
+
     /// The constant-gap runs moving data from `src` to `dst`, in
     /// section-rank order: the stored period expanded over the section,
     /// merged across period boundaries where the gaps continue.
     pub fn transfer_runs(&self, src: i64, dst: i64) -> TransferRuns<'_> {
-        let r = self.row(src, dst);
-        let period = self.runs.row(r);
-        let c = self.counts[r];
-        let repeats = if period.is_empty() { 0 } else { self.repeats };
+        let PairPeriod {
+            runs: period,
+            repeats,
+            tail_runs,
+            tail_cut,
+            ..
+        } = self.pair_period(src, dst);
         let left = if repeats > 0 {
             period
         } else {
-            &period[..c.tail_runs]
+            &period[..tail_runs]
         };
         // Both gaps reach into copy 1, which holds a transfer whenever the
         // boundary exists, so they are differences of real addresses.
@@ -692,10 +724,10 @@ impl CommSchedule {
             )
         };
         let join_whole = (repeats >= 2).then(|| join_into(period[0])).flatten();
-        let join_tail = (repeats >= 1 && c.tail_runs > 0)
+        let join_tail = (repeats >= 1 && tail_runs > 0)
             .then(|| {
-                let len = if c.tail_runs == 1 {
-                    c.tail_cut
+                let len = if tail_runs == 1 {
+                    tail_cut
                 } else {
                     period[0].len
                 };
@@ -704,7 +736,7 @@ impl CommSchedule {
             .flatten();
         // Every joined boundary makes two stored runs one.
         let joins = join_whole.map_or(0, |_| repeats - 1) + i64::from(join_tail.is_some());
-        let remaining = repeats as usize * period.len() + c.tail_runs - joins as usize;
+        let remaining = repeats as usize * period.len() + tail_runs - joins as usize;
         TransferRuns {
             period,
             left,
@@ -712,8 +744,8 @@ impl CommSchedule {
             repeats,
             rep: 0,
             shift: (0, 0),
-            tail_runs: c.tail_runs,
-            tail_cut: c.tail_cut,
+            tail_runs,
+            tail_cut,
             join_whole,
             join_tail,
             remaining,

@@ -53,7 +53,8 @@ where
 
 /// Executes the copy `A(sec_a) = B(sec_b)` for conforming sections on
 /// any two layouts of one machine: the copy run of the statement's
-/// fused program, with no staging snapshot and no apply phase.
+/// fused program, whose apply steps read `B` in place or from the kept
+/// payloads and write `A` once.
 pub fn assign_array<T: PackValue>(
     a: &mut DistArray<T>,
     sec_a: &RegularSection,
@@ -149,8 +150,8 @@ mod tests {
 
     #[test]
     fn self_assignment_shift() {
-        // A(0:89:1) = A(10:99:1): a shifted self-copy through a staging
-        // snapshot (the RHS is read before any write).
+        // A(0:89:1) = A(10:99:1): a shifted self-copy read from a clone
+        // of A (the RHS is read before any write).
         let n = 100i64;
         let data: Vec<i64> = (0..n).collect();
         let mut a = DistArray::from_global(4, 4, &data).unwrap();

@@ -125,11 +125,11 @@ pub fn per_node_packed_from_trace(trace: &bcag_trace::Trace, p: i64) -> Vec<i64>
 }
 
 /// Structure census of the fused per-node epoch a statement shape
-/// compiles to: how many send, receive, local-move and apply segments
-/// the compiled program executes per epoch. The analytics counterpart
-/// of [`comm_stats`] for the fused path — a shape whose census shows
-/// many `Wide` exchanges and few self-moves is communication-bound no
-/// matter how fast the kernels run.
+/// compiles to: how many messages and apply steps the compiled program
+/// executes per epoch, and how many of the steps' operand streams read
+/// in place. The analytics counterpart of [`comm_stats`] for the fused
+/// path — a shape whose census shows many messages and few in-place
+/// streams is communication-bound no matter how fast the kernels run.
 ///
 /// The census is a property of the statement *shape* alone (element
 /// type only selects kernels, not structure), so this compiles a
@@ -141,17 +141,8 @@ pub fn fuse_census(
     sec_a: &RegularSection,
     ops: &[(i64, RegularSection)],
 ) -> Result<FuseCensus> {
-    let program = fuse::compile::<f64>(
-        p,
-        k_a,
-        sec_a,
-        ops,
-        ExecMode::Batched,
-        TransportKind::Shm,
-        // Census at the resolved L2 size, so `bcag stats` shows the
-        // blocking the fused path would actually run with.
-        fuse::epoch_block_elems::<f64>(sec_a),
-    )?;
+    let program =
+        fuse::compile::<f64>(p, k_a, sec_a, ops, ExecMode::Batched, TransportKind::Shm, 0)?;
     Ok(program.census())
 }
 
@@ -246,10 +237,13 @@ mod tests {
         assert_eq!(census.sends, comm.messages);
         assert_eq!(census.recvs, comm.messages);
         assert!(census.apply_segments > 0, "{census:?}");
-        // Identity copy: all traffic is self-moves.
+        assert_eq!(census.send_blocks, comm.messages, "one operand");
+        assert_eq!(census.local_streams, 0, "every element crosses");
+        // Identity copy: every step reads its operand in place.
         let same = fuse_census(4, 8, &sec_a, &[(8, sec_a)]).unwrap();
         assert_eq!(same.sends, 0);
-        assert!(same.self_moves > 0, "{same:?}");
+        assert_eq!(same.local_streams, same.apply_segments, "{same:?}");
+        assert!(same.apply_segments > 0, "{same:?}");
     }
 
     #[test]

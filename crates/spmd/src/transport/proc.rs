@@ -155,7 +155,7 @@ pub fn active() -> Option<Arc<Session>> {
 impl Session {
     /// A session for node `me` of `p` over the given pipe ends, without
     /// installing it process-wide (in-memory pipes in tests).
-    pub(crate) fn over(
+    pub fn over(
         me: usize,
         p: usize,
         reader: Box<dyn Read + Send>,

@@ -13,8 +13,7 @@
 //! (`std::thread::park_timeout`, counted as `transport_park_ns`), to be
 //! unparked by the next producer that publishes to it. A ring can fill,
 //! so a node must never send more envelopes to one peer than the ring
-//! holds before it receives: fused epochs bound their blocks per peer to
-//! half a ring (`fuse::MAX_BLOCKS_PER_PEER`).
+//! holds before it receives: a fused epoch sends one envelope per peer.
 //!
 //! The slot discipline deliberately assumes nothing beyond the ring
 //! storage being visible to both sides: indices are plain atomics and
@@ -40,9 +39,8 @@ use super::Envelope;
 use crate::pool::lock_clean;
 
 /// Slots per directed ring. Power of two; small enough that `p × p`
-/// rings stay cheap at `p = 32`, large enough that a fused epoch (one
-/// envelope per message block per (src, dst) pair, at most half the ring
-/// per pair) never fills a ring in steady state.
+/// rings stay cheap at `p = 32`, far more than the one envelope per
+/// (src, dst) pair a fused epoch sends.
 pub(crate) const RING_CAP: usize = 64;
 
 /// Empty sweeps a waiter spins through before it yields (a receiver

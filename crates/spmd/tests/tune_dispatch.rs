@@ -1,13 +1,13 @@
-//! Randomized differential suite for pack/unpack and L2-blocked
-//! statements against the sequential global-index oracle.
+//! Randomized differential suite for pack/unpack and large statements
+//! against the sequential global-index oracle.
 //!
 //! Pack and unpack are checked over random layouts and sections for
 //! element types of three widths: each node's buffer must hold exactly
 //! its section elements in global order, and unpacking must land them
 //! back at their global indices. Whole statements run on every transport
 //! and must reproduce the oracle's image bit for bit. A >L2 transfer runs
-//! both blocking regimes — unblocked under a 1 GiB L2, blocked under a
-//! 32 KiB one — and both must match the oracle.
+//! under a 1 GiB and a 32 KiB L2 setting; the L2 size no longer changes
+//! the program, no epoch runs blocked, and both must match the oracle.
 
 use std::sync::Mutex;
 
@@ -230,11 +230,10 @@ fn statements_match_oracle_on_every_transport() {
 }
 
 /// Runs one >L2 f64 transfer (comm-bearing and communication-free
-/// variants) in both blocking regimes: unblocked under a 1 GiB L2,
-/// blocked under a 32 KiB one. Both must match the oracle bit for bit.
-/// Uses section shapes unique to this test: programs are cached per
-/// shape and block size, so stale entries from other tests can't mask
-/// either compile.
+/// variants) under a 1 GiB and a 32 KiB L2 setting. No epoch runs
+/// blocked, and both must match the oracle bit for bit. Uses section
+/// shapes unique to this test, so stale cache entries from other tests
+/// can't mask the compile.
 #[test]
 fn blocked_statements_stay_bit_exact() {
     let _serial = lock_l2();
@@ -249,17 +248,17 @@ fn blocked_statements_stay_bit_exact() {
         want[i as usize] = f(&[base[i as usize]]);
     }
 
-    // Comm-bearing: k_a ≠ k_b redistributes, so the blocked sends and
-    // the per-src block-cursor recv routing are exercised.
+    // Comm-bearing: k_a ≠ k_b redistributes, so the large sends and the
+    // per-source receive routing are exercised.
     for (k_a, k_b) in [(7i64, 5i64), (64, 64)] {
         let b = DistArray::from_global(3, k_b, &base).unwrap();
-        for (l2, blocked) in [(1u64 << 30, false), (32 * 1024, true)] {
+        for l2 in [1u64 << 30, 32 * 1024] {
             tune::set_l2_bytes(l2);
             let mut a = DistArray::from_global(3, k_a, &base).unwrap();
             assign_fused_on(&mut a, &sec, &[(&b, sec)], f, TransportKind::Shm).unwrap();
             assert_eq!(
                 fuse::last_blocked(),
-                Some(blocked),
+                Some(false),
                 "a {} KiB transfer against a {} KiB L2 (k_a={k_a})",
                 44_444 * 8 / 1024,
                 l2 / 1024,
@@ -276,9 +275,9 @@ fn blocked_statements_stay_bit_exact() {
 }
 
 /// Three- and four-operand statements — the widest fixed argument array
-/// of the monomorphized apply and its `Vec` fallback — in both blocking
-/// regimes, communicating (every operand on its own layout) and
-/// communication-free (the blocked local-range path), with an
+/// of the monomorphized apply and its `Vec` fallback — under both L2
+/// settings, communicating (every operand on its own layout) and
+/// communication-free (every operand read in place), with an
 /// order-sensitive body. Each must match the oracle bit for bit.
 #[test]
 fn blocked_multi_operand_statements_stay_bit_exact() {
@@ -325,13 +324,13 @@ fn blocked_multi_operand_statements_stay_bit_exact() {
                 .collect();
             let operands: Vec<(&DistArray<f64>, RegularSection)> =
                 arrays.iter().zip(&op_secs).map(|(a, s)| (a, *s)).collect();
-            for (l2, blocked) in [(1u64 << 30, false), (32 * 1024, true)] {
+            for l2 in [1u64 << 30, 32 * 1024] {
                 tune::set_l2_bytes(l2);
                 let mut a = DistArray::from_global(3, k_a, &base).unwrap();
                 assign_fused_on(&mut a, &sec_a, &operands, f, TransportKind::Shm).unwrap();
                 assert_eq!(
                     fuse::last_blocked(),
-                    Some(blocked),
+                    Some(false),
                     "nops={nops} k_a={k_a} l2={l2}"
                 );
                 assert_eq!(

@@ -92,42 +92,22 @@ fi
 
 # Fused-epoch SLO gate, also on the committed full-profile snapshot:
 # the fused axpy statement must stay within its committed ceiling of
-# hand-coded BLAS-1.
+# hand-coded BLAS-1, at n = 400 (dispatch-bound) and in the n = 256K
+# `large` row (bandwidth-bound).
 [ -s BENCH_fuse.json ] \
     || { echo "missing committed BENCH_fuse.json snapshot" >&2; exit 1; }
 awk '
     $1 == "\"fused_vs_blas1\":"             { gsub(/[^0-9.]/, "", $2); vsblas = $2 }
+    $1 == "\"large_fused_vs_blas1\":"       { gsub(/[^0-9.]/, "", $2); large = $2 }
     $1 == "\"max_fused_vs_blas1\":"         { gsub(/[^0-9.]/, "", $2); ceil = $2 }
     END {
-        if (vsblas == "" || ceil == "")
+        if (vsblas == "" || large == "" || ceil == "")
             { print "BENCH_fuse.json missing SLO fields" > "/dev/stderr"; exit 1 }
         if (vsblas + 0 > ceil + 0)
             { printf "fused statement %sx of blas1 exceeds SLO ceiling %sx\n", vsblas, ceil > "/dev/stderr"; exit 1 }
+        if (large + 0 > ceil + 0)
+            { printf "large fused statement %sx of blas1 exceeds SLO ceiling %sx\n", large, ceil > "/dev/stderr"; exit 1 }
     }' BENCH_fuse.json
-
-# L2-blocking SLO gate on the committed full-profile snapshot.
-[ -s BENCH_tune.json ] \
-    || { echo "missing committed BENCH_tune.json snapshot" >&2; exit 1; }
-# The blocked-epoch margin is host-class-dependent (PR 9-style nproc
-# guard, inverted host class): the committed snapshot's A/B ran with the
-# pool's two node threads time-sharing one hardware thread, where the
-# win is a pure per-core L2-residency effect. With genuinely concurrent
-# node threads the memory system is shared differently and the 1-core
-# margin is not evidence either way, so bind the floor only on the host
-# class the snapshot was measured on.
-if [ "$(nproc)" -eq 1 ]; then
-    awk '
-        $1 == "\"blocked_over_unblocked\":"     { gsub(/[^0-9.]/, "", $2); blocked = $2 }
-        $1 == "\"min_blocked_over_unblocked\":" { gsub(/[^0-9.]/, "", $2); bfloor = $2 }
-        END {
-            if (blocked == "" || bfloor == "")
-                { print "BENCH_tune.json missing blocked SLO fields" > "/dev/stderr"; exit 1 }
-            if (blocked + 0 < bfloor + 0)
-                { printf "blocked epochs %sx below SLO floor %sx\n", blocked, bfloor > "/dev/stderr"; exit 1 }
-        }' BENCH_tune.json
-else
-    echo "--> multi-thread host: skipping single-thread blocked-epoch floor"
-fi
 
 echo "==> trace smoke: bcag trace on examples/scripts/triad.hpf"
 trace_out="target/ci-trace.json"

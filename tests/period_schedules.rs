@@ -7,12 +7,16 @@
 //! the CRT construction (`build_lattice`, which stores whole rows) and
 //! with a per-rank `Layout::owner`/`local_addr` walk — over random
 //! layouts, and at parameters near the `i64` bounds, where the answer
-//! must be exact or a typed error, never a wrapped value or a panic.
+//! must be exact or a typed error, never a wrapped value or a panic. At
+//! those bounds `fuse::compile`, which builds a statement's program from
+//! the same periods, must agree with the schedule, and the statements
+//! whose arrays fit in memory must run to the oracle's image.
 
 use bcag::core::method::Method;
 use bcag::core::numth::{gcd, lcm};
 use bcag::core::section::RegularSection;
-use bcag::spmd::{CommSchedule, Transfer};
+use bcag::spmd::fuse::{self, assign_fused_on};
+use bcag::spmd::{CommSchedule, DistArray, ExecMode, Transfer, TransportKind};
 use bcag::{BcagError, Layout};
 use bcag_harness::prop::{check_with, from_fn, Config};
 use bcag_harness::Rng;
@@ -174,6 +178,51 @@ impl Extreme {
         let u = (self.n - 1).checked_mul(s)?.checked_add(l)?;
         RegularSection::new(l, u, s).ok()
     }
+
+    /// Runs the statement `A(sec_a) = 2·B(sec_b) + 1` through the fused
+    /// path and checks the image against the global-index oracle, when
+    /// both arrays (each section's top element, plus one) fit in memory
+    /// and their layouts are valid. Returns whether it ran.
+    fn run_if_small(&self, sec_a: &RegularSection, sec_b: &RegularSection) -> bool {
+        const MAX_LEN: i64 = 1 << 16;
+        let top = |sec: &RegularSection| sec.normalized().hi.max(0).saturating_add(1);
+        let (len_a, len_b) = (top(sec_a), top(sec_b));
+        if self.p > 8 || len_a > MAX_LEN || len_b > MAX_LEN {
+            return false;
+        }
+        let base: Vec<f64> = (0..len_a).map(|i| i as f64 * 0.5 - 3.0).collect();
+        let bg: Vec<f64> = (0..len_b).map(|i| (i % 97) as f64 + 0.25).collect();
+        let mut want = base.clone();
+        for (ia, ib) in sec_a.iter().zip(sec_b.iter()) {
+            want[ia as usize] = 2.0 * bg[ib as usize] + 1.0;
+        }
+        // An array layout the core rejects is no statement to run.
+        let (mut a, b) = match (
+            DistArray::from_global(self.p, self.k_a, &base),
+            DistArray::from_global(self.p, self.k_b, &bg),
+        ) {
+            (Ok(a), Ok(b)) => (a, b),
+            (Err(e), _) | (_, Err(e)) => {
+                assert!(typed(&e), "unexpected error {e}");
+                return false;
+            }
+        };
+        let body = |v: &[f64]| 2.0 * v[0] + 1.0;
+        assign_fused_on(&mut a, sec_a, &[(&b, *sec_b)], body, TransportKind::Shm).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&a.to_global()), bits(&want), "{sec_a:?} = {sec_b:?}");
+        true
+    }
+}
+
+/// The error kinds an extreme machine or section shape may produce.
+fn typed(e: &BcagError) -> bool {
+    matches!(
+        e,
+        BcagError::Overflow
+            | BcagError::InvalidProcessorCount { .. }
+            | BcagError::InvalidBlockSize { .. }
+    )
 }
 
 #[test]
@@ -266,6 +315,34 @@ fn extreme_parameters_are_exact_or_typed_errors() {
             b: (0, MAX),
             n: 2,
         },
+        // A single element at a stride near the bound.
+        Extreme {
+            p: 3,
+            k_a: 5,
+            k_b: 2,
+            a: (7, MAX),
+            b: (1, big),
+            n: 1,
+        },
+        // Blocks near the layout bound `p·k ≤ MAX_INDEX` over short
+        // arrays: one side lies in a single block, so the combined period
+        // is far past the section, and the statements run.
+        Extreme {
+            p: 2,
+            k_a: big / 2,
+            k_b: 3,
+            a: (0, 1),
+            b: (5, 1),
+            n: 40,
+        },
+        Extreme {
+            p: 3,
+            k_a: big / 3,
+            k_b: 2,
+            a: (2, 1),
+            b: (1, 2),
+            n: 30,
+        },
         // Empty and single-element sections.
         Extreme {
             p: 5,
@@ -334,28 +411,54 @@ fn extreme_parameters_are_exact_or_typed_errors() {
             }
         }
     }
-    let mut exact = 0;
+    let (mut exact, mut ran) = (0, 0);
     for (i, case) in cases.iter().enumerate() {
         let (Some(sec_a), Some(sec_b)) = (case.section(case.a), case.section(case.b)) else {
             continue;
         };
         let (p, k_a, k_b) = (case.p, case.k_a, case.k_b);
+        // The fused program compiles from the same periods: it builds
+        // exactly when the schedule does, and fails with its typed error.
+        let ops = [(k_b, sec_b)];
+        let program = fuse::compile::<f64>(
+            p,
+            k_a,
+            &sec_a,
+            &ops,
+            ExecMode::Batched,
+            TransportKind::Shm,
+            0,
+        );
         match CommSchedule::build(p, k_a, &sec_a, k_b, &sec_b, Method::Lattice) {
             Ok(sched) => {
                 let rows = per_rank(p, k_a, &sec_a, k_b, &sec_b);
                 check_against(&sched, p, &rows, &format!("extreme case {i}"));
+                let program = program
+                    .unwrap_or_else(|e| panic!("extreme case {i}: schedule builds, program: {e}"));
+                let census = program.census();
+                assert_eq!(
+                    census.sends,
+                    sched.nonempty_nonlocal_pairs(),
+                    "extreme case {i}"
+                );
+                assert!(
+                    census.apply_segments <= case.n as usize,
+                    "extreme case {i}: {census:?}"
+                );
+                if case.run_if_small(&sec_a, &sec_b) {
+                    ran += 1;
+                }
                 exact += 1;
             }
-            Err(e) => assert!(
-                matches!(
-                    e,
-                    BcagError::Overflow
-                        | BcagError::InvalidProcessorCount { .. }
-                        | BcagError::InvalidBlockSize { .. }
-                ),
-                "extreme case {i}: unexpected error {e}"
-            ),
+            Err(e) => {
+                assert!(typed(&e), "extreme case {i}: unexpected error {e}");
+                match program {
+                    Ok(_) => panic!("extreme case {i}: the program compiled, the schedule: {e}"),
+                    Err(e) => assert!(typed(&e), "extreme case {i}: unexpected error {e}"),
+                }
+            }
         }
     }
     assert!(exact >= 12, "only {exact} extreme cases built");
+    assert!(ran >= 2, "only {ran} extreme statements ran");
 }
